@@ -318,11 +318,9 @@ def build_report(
         out("|---|---|---|---|---|---|")
         for key, result in ddos.items():
             spec = result.spec
-            amplification = (
-                f"{result.amplification():.1f}x ({PAPER_AMP[key]})"
-                if key in PAPER_AMP
-                else f"{result.amplification():.1f}x"
-            )
+            amplification = f"{result.amplification():.1f}x"
+            if key in PAPER_AMP:
+                amplification += f" ({PAPER_AMP[key]})"
             out(
                 f"| {key} | {spec.loss_fraction:.0%} {spec.servers} | {spec.ttl} | "
                 f"{PAPER_FAIL.get(key, '-')} | "

@@ -15,6 +15,7 @@ JSONL row shape::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, TextIO, Tuple
 
@@ -54,8 +55,14 @@ def export_query_log(log: QueryLog, stream: TextIO) -> int:
 
 
 def import_query_log(stream: TextIO) -> QueryLog:
-    """Read a JSONL trace back into a :class:`QueryLog`."""
+    """Read a JSONL trace back into a :class:`QueryLog`.
+
+    Rows are type-checked before they reach the log — its tables would
+    carry a wrong-typed value to every later reader — and each distinct
+    qname text is parsed once.
+    """
     log = QueryLog()
+    names: Dict[str, Name] = {}
     for line_number, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -64,15 +71,35 @@ def import_query_log(stream: TextIO) -> QueryLog:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(line_number, f"bad JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise TraceFormatError(line_number, "bad row: expected an object")
+        row.setdefault("server", "")
+        for field, kinds in (
+            ("t", (int, float)),
+            ("src", str),
+            ("qname", str),
+            ("qtype", str),
+            ("server", str),
+        ):
+            if field not in row:
+                raise TraceFormatError(line_number, f"bad row: missing {field!r}")
+            if not isinstance(row[field], kinds) or isinstance(row[field], bool):
+                raise TraceFormatError(
+                    line_number,
+                    f"bad row: field {field!r} has wrong type "
+                    f"{type(row[field]).__name__}",
+                )
         try:
+            time = float(row["t"])
+            if not math.isfinite(time):
+                raise ValueError(f"time {time} is not finite")
+            qname = names.get(row["qname"])
+            if qname is None:
+                qname = names[row["qname"]] = Name.from_text(row["qname"])
             log.record(
-                float(row["t"]),
-                str(row["src"]),
-                Name.from_text(row["qname"]),
-                RRType[row["qtype"]],
-                str(row.get("server", "")),
+                time, row["src"], qname, RRType[row["qtype"]], row["server"]
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, OverflowError) as exc:
             raise TraceFormatError(line_number, f"bad row: {exc}") from exc
     return log
 
@@ -120,9 +147,10 @@ def analyze_trace(
     and classify the source as TTL-honoring (median within ±10% of the
     TTL or above) or early-refreshing (median below 90% of the TTL).
     """
-    by_src: Dict[str, List[float]] = {}
-    for entry in log.entries:
-        by_src.setdefault(entry.src, []).append(entry.time)
+    times_by_id: Dict[int, List[float]] = {}
+    for time, src_id in zip(log.times, log.src.ids):
+        times_by_id.setdefault(src_id, []).append(time)
+    by_src = {log.src.values[src_id]: times for src_id, times in times_by_id.items()}
 
     close = 0
     total_deltas = 0
@@ -150,7 +178,7 @@ def analyze_trace(
     medians.sort()
     return TraceAnalysis(
         ttl=ttl,
-        total_queries=len(log.entries),
+        total_queries=len(log),
         sources=len(by_src),
         analyzed_sources=analyzed,
         close_query_fraction=close / total_deltas if total_deltas else 0.0,

@@ -246,10 +246,15 @@ def classify_misses_by_resolver(
     query source and round.
     """
     attribution = MissAttribution()
-    qlog_index: Dict[Name, List] = {}
+    # Row indexes of the query log per queried name (keyed on the Name,
+    # so every spelling of it lands in one list).
+    rows_by_qname: Dict[Name, List[int]] = {}
     if query_log is not None:
-        for entry in query_log.entries:
-            qlog_index.setdefault(entry.qname, []).append(entry)
+        qnames = query_log.qnames
+        for row, qname_id in enumerate(query_log.qname.ids):
+            rows_by_qname.setdefault(qnames[qname_id], []).append(row)
+        times = query_log.times
+        srcs, src_ids = query_log.src.values, query_log.src.ids
 
     for item in classified:
         if item.answer_class != AnswerClass.AC:
@@ -275,9 +280,9 @@ def classify_misses_by_resolver(
             else item.answer.sent_at + 5.0
         )
         sources = {
-            entry.src
-            for entry in qlog_index.get(qname, [])
-            if window_start <= entry.time <= window_end
+            srcs[src_ids[row]]
+            for row in rows_by_qname.get(qname, ())
+            if window_start <= times[row] <= window_end
         }
         if any(registry.is_google(source) for source in sources):
             attribution.google_rn += 1

@@ -10,7 +10,7 @@ classes), Table 3 (public-resolver attribution of misses), Figure 3
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.clients.population import PopulationConfig
 from repro.core.classification import (
@@ -91,8 +91,10 @@ class BaselineResult:
     answers: List[StubAnswer]
     # Observability payloads (empty/None unless the run enabled them).
     # BaselineResult has no live testbed reference, so telemetry is
-    # carried directly and survives pickling through the runner cache.
-    spans: List = field(default_factory=list, repr=False)
+    # carried directly and survives pickling through the runner cache;
+    # ``spans`` is the tracer's SpanLog itself (a sequence view of
+    # SpanEvent rows over columns), not a copied list.
+    spans: Sequence = field(default_factory=list, repr=False)
     metric_snapshots: List = field(default_factory=list, repr=False)
     timeline_points: List = field(default_factory=list, repr=False)
     profile: Optional[dict] = field(default=None, repr=False)
@@ -180,7 +182,7 @@ def run_baseline(
         table3=table3,
         classified=classified,
         answers=answers,
-        spans=list(testbed.spans),
+        spans=testbed.spans,
         metric_snapshots=list(testbed.metric_snapshots),
         timeline_points=list(testbed.timeline_points),
         profile=testbed.profile_summary(),

@@ -123,11 +123,10 @@ def run_selection_study(
         sim.at(index * 2.0, resolver.resolve, qname, RRType.AAAA, outcomes.append)
     sim.run(until=resolutions * 2.0 + 30.0)
 
-    fast_queries = sum(1 for entry in log.entries if entry.server == "fast")
-    slow_queries = sum(1 for entry in log.entries if entry.server == "slow")
+    per_server = log.per_server_counts()
     return SelectionResult(
-        fast_queries=fast_queries,
-        slow_queries=slow_queries,
+        fast_queries=per_server.get("fast", 0),
+        slow_queries=per_server.get("slow", 0),
         fast_latency=fast_latency,
         slow_latency=slow_latency,
         resolutions=resolutions,

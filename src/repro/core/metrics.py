@@ -11,13 +11,15 @@ quantiles (Figure 11, Table 7).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.columns import round_indexes
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRType
 from repro.resolvers.stub import StubAnswer
-from repro.servers.querylog import QueryLog
+from repro.servers.querylog import QueryLog, classify_query_kind
 
 
 def round_index_of(time: float, round_seconds: float) -> int:
@@ -147,12 +149,10 @@ def authoritative_load_by_round(
     round_seconds: float = 600.0,
 ) -> Dict[int, Dict[str, int]]:
     """Queries at the authoritatives per round, by Figure 10's kinds."""
-    from repro.servers.querylog import classify_query_kind
+    ns_set = frozenset(ns_names)
 
-    ns_set = list(ns_names)
-
-    def classify(entry) -> str:
-        return classify_query_kind(entry, target_zone, ns_set)
+    def classify(qname: Name, qtype: RRType) -> str:
+        return classify_query_kind(qname, qtype, target_zone, ns_set)
 
     return query_log.count_by_round(round_seconds, classify)
 
@@ -201,23 +201,35 @@ def per_probe_amplification(
     counted, exactly like the paper's Figure 11 (NS-related queries
     cannot be attributed to a probe).
     """
+    # Probe label per qname id, for single-label numeric names under the
+    # zone; every other name stays out of the figure.
+    probe_of: Dict[int, str] = {}
+    for qname_id, qname in enumerate(query_log.qnames):
+        if qname.is_subdomain_of(zone_origin):
+            labels = qname.relativize(zone_origin)
+            if len(labels) == 1 and labels[0].isdigit():
+                probe_of[qname_id] = labels[0]
+    aaaa_id = query_log.qtype.index.get(RRType.AAAA)
+
     per_round: Dict[int, Dict[str, Dict[str, int]]] = {}
     rn_sets: Dict[Tuple[int, str], set] = {}
-    for entry in query_log.entries:
-        if entry.qtype != RRType.AAAA:
+    counted = Counter(
+        zip(
+            round_indexes(query_log.times, round_seconds),
+            query_log.qname.ids,
+            query_log.qtype.ids,
+            query_log.src.ids,
+        )
+    )
+    for (round_index, qname_id, qtype_id, src_id), count in counted.items():
+        probe_key = probe_of.get(qname_id)
+        if qtype_id != aaaa_id or probe_key is None:
             continue
-        if not entry.qname.is_subdomain_of(zone_origin):
-            continue
-        labels = entry.qname.relativize(zone_origin)
-        if len(labels) != 1 or not labels[0].isdigit():
-            continue
-        probe_key = labels[0]
-        round_index = round_index_of(entry.time, round_seconds)
         counts = per_round.setdefault(round_index, {}).setdefault(
             probe_key, {"queries": 0}
         )
-        counts["queries"] += 1
-        rn_sets.setdefault((round_index, probe_key), set()).add(entry.src)
+        counts["queries"] += count
+        rn_sets.setdefault((round_index, probe_key), set()).add(src_id)
 
     result: List[PerProbeAmplification] = []
     for round_index in sorted(per_round):

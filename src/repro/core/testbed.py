@@ -312,35 +312,29 @@ class Testbed:
                 )
 
     def _make_offered_tap(self, server_name: str):
+        sim = self.sim
+        record = self.offered_query_log.record
         sketch = self.source_sketch
         if sketch is None:
 
             def tap(packet) -> None:
                 message = packet.message
-                if message.is_response or message.question is None:
+                question = message.question
+                if message.is_response or question is None:
                     return
-                self.offered_query_log.record(
-                    self.sim.now,
-                    packet.src,
-                    message.question.qname,
-                    message.question.qtype,
-                    server_name,
+                record(
+                    sim.now, packet.src, question.qname, question.qtype, server_name
                 )
 
             return tap
 
         def sketch_tap(packet) -> None:
             message = packet.message
-            if message.is_response or message.question is None:
+            question = message.question
+            if message.is_response or question is None:
                 return
             sketch.update(packet.src)
-            self.offered_query_log.record(
-                self.sim.now,
-                packet.src,
-                message.question.qname,
-                message.question.qtype,
-                server_name,
-            )
+            record(sim.now, packet.src, question.qname, question.qtype, server_name)
 
         return sketch_tap
 

@@ -83,7 +83,8 @@ class Observability:
 
     @property
     def spans(self):
-        """Collected span events (empty list when tracing is off)."""
+        """The tracer's :class:`~repro.obs.records.SpanLog`, a read-only
+        sequence of span events (empty list when tracing is off)."""
         return self.tracer.events if self.tracer is not None else []
 
     @property

@@ -1,14 +1,22 @@
-"""Typed observability records: span events and metric snapshots.
+"""Typed observability records: spans, timeline points, metric snapshots.
 
-Both record types follow the same conventions as the hot-path rows in
-:mod:`repro.servers.querylog`: ``__slots__`` (they are created per query
-event in traced runs), a stable one-line ``repr`` for debugging, and an
-``as_dict`` method feeding the JSONL exporters in :mod:`repro.obs.spanio`.
+Spans are the per-hop record of a traced run — 10⁵ of them on a 400-probe
+experiment — so they are stored like the query log
+(:mod:`repro.servers.querylog`): :class:`SpanLog` is a column store of
+typed arrays plus interned string tables, and a :class:`SpanEvent` is a
+value object built on demand when something indexes or iterates the log
+(tests, the JSONL exporter). Timeline points and metric snapshots are a
+few hundred per run and stay plain ``__slots__`` rows. Every row type
+has a stable one-line ``repr`` and an ``as_dict`` feeding the JSONL
+exporters in :mod:`repro.obs.spanio`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from array import array
+from typing import Any, Dict, Iterable
+
+from repro.columns import IdColumn, RowSequence, widened
 
 # ---------------------------------------------------------------------------
 # Span taxonomy
@@ -152,6 +160,84 @@ class SpanEvent:
             f"<Span t={self.time:.6f} #{self.trace_id} {self.kind} "
             f"@{self.site}{vp}{extra}>"
         )
+
+
+class SpanLog(RowSequence):
+    """Every span of a run, as columns; a sequence of :class:`SpanEvent`.
+
+    ``trace_ids`` (unsigned ints, widened as ids grow) and ``times`` are
+    plain arrays; ``kind``, ``site``, ``vp`` and ``detail`` are
+    :class:`~repro.columns.IdColumn` s over the distinct strings seen.
+    This is what :attr:`repro.obs.trace.Tracer.events`, ``testbed.spans``
+    and ``result.spans`` are: it compares equal to a list of the same
+    spans and pickles as six buffers and four string tables.
+    """
+
+    __slots__ = ("trace_ids", "times", "kind", "site", "vp", "detail")
+
+    def __init__(self, spans: Iterable[SpanEvent] = ()) -> None:
+        self.trace_ids = array("B")
+        self.times = array("d")
+        self.kind = IdColumn()
+        self.site = IdColumn()
+        self.vp = IdColumn()
+        self.detail = IdColumn()
+        for span in spans:
+            self.append(
+                span.trace_id, span.time, span.kind, span.site, span.vp, span.detail
+            )
+
+    def append(
+        self,
+        trace_id: int,
+        time: float,
+        kind: str,
+        site: str,
+        vp: str = "",
+        detail: str = "",
+    ) -> None:
+        try:
+            self.trace_ids.append(trace_id)
+        except OverflowError:
+            self.trace_ids = widened(self.trace_ids, trace_id)
+            self.trace_ids.append(trace_id)
+        self.times.append(time)
+        column = self.kind
+        try:
+            column.ids.append(column.index[kind])
+        except KeyError:
+            column.add(kind)
+        column = self.site
+        try:
+            column.ids.append(column.index[site])
+        except KeyError:
+            column.add(site)
+        column = self.vp
+        try:
+            column.ids.append(column.index[vp])
+        except KeyError:
+            column.add(vp)
+        column = self.detail
+        try:
+            column.ids.append(column.index[detail])
+        except KeyError:
+            column.add(detail)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def _row(self, index: int) -> SpanEvent:
+        return SpanEvent(
+            self.trace_ids[index],
+            self.times[index],
+            self.kind.values[self.kind.ids[index]],
+            self.site.values[self.site.ids[index]],
+            self.vp.values[self.vp.ids[index]],
+            self.detail.values[self.detail.ids[index]],
+        )
+
+    def __repr__(self) -> str:
+        return f"<SpanLog spans={len(self)}>"
 
 
 class TimelinePoint:

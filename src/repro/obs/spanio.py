@@ -15,6 +15,7 @@ span from :data:`repro.obs.records.TERMINAL_KINDS` follows it.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
 
 from repro.obs.records import (
@@ -26,6 +27,7 @@ from repro.obs.records import (
     TERMINAL_KINDS,
     MetricsSnapshot,
     SpanEvent,
+    SpanLog,
     TimelinePoint,
 )
 from repro.obs.timeline import render_table
@@ -49,9 +51,9 @@ def export_spans(
     return count
 
 
-def import_spans(stream: TextIO) -> List[SpanEvent]:
+def import_spans(stream: TextIO) -> SpanLog:
     """Read JSONL spans back, validating each row against the schema."""
-    spans: List[SpanEvent] = []
+    spans = SpanLog()
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -60,14 +62,23 @@ def import_spans(stream: TextIO) -> List[SpanEvent]:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SpanFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        spans.append(_span_from_row(row, lineno))
+        _append_row(spans, row, lineno)
     return spans
 
 
-def _span_from_row(row: Dict[str, Any], lineno: int) -> SpanEvent:
+def _append_row(spans: SpanLog, row: Any, lineno: int) -> None:
     if not isinstance(row, dict):
         raise SpanFormatError(f"line {lineno}: expected an object")
-    for field, kinds in (("trace_id", int), ("time", (int, float)), ("kind", str), ("site", str)):
+    row.setdefault("vp", "")
+    row.setdefault("detail", "")
+    for field, kinds in (
+        ("trace_id", int),
+        ("time", (int, float)),
+        ("kind", str),
+        ("site", str),
+        ("vp", str),
+        ("detail", str),
+    ):
         if field not in row:
             raise SpanFormatError(f"line {lineno}: missing field {field!r}")
         if not isinstance(row[field], kinds) or isinstance(row[field], bool):
@@ -77,49 +88,75 @@ def _span_from_row(row: Dict[str, Any], lineno: int) -> SpanEvent:
             )
     if row["kind"] not in SPAN_KINDS:
         raise SpanFormatError(f"line {lineno}: unknown span kind {row['kind']!r}")
-    return SpanEvent(
-        row["trace_id"],
-        float(row["time"]),
-        row["kind"],
-        row["site"],
-        vp=row.get("vp", ""),
-        detail=row.get("detail", ""),
-    )
+    if isinstance(row["time"], float) and not math.isfinite(row["time"]):
+        raise SpanFormatError(f"line {lineno}: time {row['time']} is not finite")
+    try:
+        spans.append(
+            row["trace_id"],
+            float(row["time"]),
+            row["kind"],
+            row["site"],
+            row["vp"],
+            row["detail"],
+        )
+    except OverflowError as exc:
+        # A trace id no unsigned 64-bit column holds, or an integer
+        # time beyond the float range.
+        raise SpanFormatError(f"line {lineno}: {exc}") from exc
 
 
-def validate_span_chains(spans: Sequence[SpanEvent]) -> Dict[int, List[SpanEvent]]:
-    """Check completeness of every trace; returns spans grouped by trace id.
-
-    Raises :class:`SpanFormatError` for orphan spans (no ``issue``),
-    missing terminals, duplicated issue/terminal spans, or spans timed
-    before their trace's issue.
-    """
-    chains: Dict[int, List[SpanEvent]] = {}
-    for span in spans:
-        chains.setdefault(span.trace_id, []).append(span)
-    for trace_id, chain in chains.items():
-        chain.sort(key=lambda span: span.time)
-        issues = [span for span in chain if span.kind == SPAN_ISSUE]
-        terminals = [span for span in chain if span.kind in TERMINAL_KINDS]
+def _chain_rows(log: SpanLog) -> Dict[int, List[int]]:
+    """Row indexes of every trace, time-ordered, after completeness checks."""
+    chains: Dict[int, List[int]] = {}
+    for row, trace_id in enumerate(log.trace_ids):
+        chains.setdefault(trace_id, []).append(row)
+    kinds, kind_ids, times = log.kind.values, log.kind.ids, log.times
+    issue_id = log.kind.index.get(SPAN_ISSUE)
+    terminal_ids = {log.kind.index[kind] for kind in TERMINAL_KINDS & set(kinds)}
+    for trace_id, rows in chains.items():
+        rows.sort(key=times.__getitem__)
+        chain = [kind_ids[row] for row in rows]
+        issues = chain.count(issue_id)
+        terminals = [kind_id for kind_id in chain if kind_id in terminal_ids]
         if not issues:
             raise SpanFormatError(f"trace {trace_id}: orphan spans (no issue span)")
-        if len(issues) > 1:
-            raise SpanFormatError(f"trace {trace_id}: {len(issues)} issue spans")
+        if issues > 1:
+            raise SpanFormatError(f"trace {trace_id}: {issues} issue spans")
         if not terminals:
             raise SpanFormatError(f"trace {trace_id}: no terminal outcome span")
         if len(terminals) > 1:
             raise SpanFormatError(
                 f"trace {trace_id}: {len(terminals)} terminal spans "
-                f"({[span.kind for span in terminals]})"
+                f"({[kinds[kind_id] for kind_id in terminals]})"
             )
-        if chain[0].kind != SPAN_ISSUE:
+        if chain[0] != issue_id:
             raise SpanFormatError(
-                f"trace {trace_id}: span {chain[0].kind!r} precedes the issue span"
+                f"trace {trace_id}: span {kinds[chain[0]]!r} precedes the issue span"
             )
     return chains
 
 
-def summarize_spans(spans: Sequence[SpanEvent], top_n: int = 10) -> str:
+def _as_log(spans: Iterable[SpanEvent]) -> SpanLog:
+    return spans if isinstance(spans, SpanLog) else SpanLog(spans)
+
+
+def validate_span_chains(spans: Iterable[SpanEvent]) -> Dict[int, List[SpanEvent]]:
+    """Check completeness of every trace; returns spans grouped by trace id.
+
+    Raises :class:`SpanFormatError` for orphan spans (no ``issue``),
+    missing terminals, duplicated issue/terminal spans, or spans timed
+    before their trace's issue. The checks run on the columns of a
+    :class:`SpanLog` (any other iterable is loaded into one); only the
+    returned chains are built as :class:`SpanEvent` rows.
+    """
+    log = _as_log(spans)
+    return {
+        trace_id: [log[row] for row in rows]
+        for trace_id, rows in _chain_rows(log).items()
+    }
+
+
+def summarize_spans(spans: Iterable[SpanEvent], top_n: int = 10) -> str:
     """Render the ``trace-summary`` report: slowest lifecycles + outcome table.
 
     The latency of a lifecycle is terminal time minus issue time. Traces
@@ -127,27 +164,32 @@ def summarize_spans(spans: Sequence[SpanEvent], top_n: int = 10) -> str:
     keep retrying after the stub gives up); those retries still count
     toward the trace's span total but not its latency.
     """
-    chains = validate_span_chains(spans)
+    log = _as_log(spans)
+    chains = _chain_rows(log)
+    times, kinds, kind_ids = log.times, log.kind.values, log.kind.ids
+    vps, vp_ids = log.vp.values, log.vp.ids
     rows = []
     outcome_stats: Dict[str, List[int]] = {}
     for trace_id, chain in sorted(chains.items()):
         issue = chain[0]
-        terminal = next(span for span in chain if span.kind in TERMINAL_KINDS)
-        latency = terminal.time - issue.time
-        rows.append((latency, trace_id, issue, terminal, len(chain)))
-        outcome_stats.setdefault(terminal.kind, []).append(len(chain))
+        terminal = next(
+            row for row in chain if kinds[kind_ids[row]] in TERMINAL_KINDS
+        )
+        outcome = kinds[kind_ids[terminal]]
+        latency = times[terminal] - times[issue]
+        rows.append((latency, trace_id, vps[vp_ids[issue]], outcome, len(chain)))
+        outcome_stats.setdefault(outcome, []).append(len(chain))
 
-    lines = [f"traces: {len(rows)}   spans: {len(spans)}", ""]
+    lines = [f"traces: {len(rows)}   spans: {len(log)}", ""]
     lines.append(f"slowest {min(top_n, len(rows))} query lifecycles:")
     lines.append(
         f"{'latency':>10} {'trace':>7} {'vp':<14} {'outcome':<10} {'spans':>5}"
     )
-    for latency, trace_id, issue, terminal, n_spans in sorted(
+    for latency, trace_id, vp, outcome, n_spans in sorted(
         rows, key=lambda row: (-row[0], row[1])
     )[:top_n]:
         lines.append(
-            f"{latency:>9.3f}s {trace_id:>7} {issue.vp:<14} "
-            f"{terminal.kind:<10} {n_spans:>5}"
+            f"{latency:>9.3f}s {trace_id:>7} {vp:<14} {outcome:<10} {n_spans:>5}"
         )
     lines.append("")
     lines.append("spans per lifecycle by outcome:")
@@ -162,7 +204,7 @@ def summarize_spans(spans: Sequence[SpanEvent], top_n: int = 10) -> str:
         )
     lines.append("")
     lines.append("per-hop latency (first occurrence of each hop per trace):")
-    lines.append(_per_hop_breakdown(chains))
+    lines.append(_per_hop_breakdown(log, chains))
     return "\n".join(lines)
 
 
@@ -177,7 +219,7 @@ _HOP_ORDER = (
 )
 
 
-def _per_hop_breakdown(chains: Dict[int, List[SpanEvent]]) -> str:
+def _per_hop_breakdown(log: SpanLog, chains: Dict[int, List[int]]) -> str:
     """Latency per resolution hop, from first-occurrence span times.
 
     A chain contributes a hop only when both of its endpoints exist
@@ -192,16 +234,18 @@ def _per_hop_breakdown(chains: Dict[int, List[SpanEvent]]) -> str:
     def record(hop: str, delta: float) -> None:
         hops.setdefault(hop, []).append(delta)
 
+    times, kinds, kind_ids = log.times, log.kind.values, log.kind.ids
     for chain in chains.values():
-        issue_time = chain[0].time
+        issue_time = times[chain[0]]
         first: Dict[str, float] = {}
         terminal_time = None
-        for span in chain:
-            if span.kind in TERMINAL_KINDS:
-                terminal_time = span.time
+        for row in chain:
+            kind = kinds[kind_ids[row]]
+            if kind in TERMINAL_KINDS:
+                terminal_time = times[row]
                 break
-            if span.kind in (SPAN_FORWARD, SPAN_SEND, SPAN_AUTH_QUERY):
-                first.setdefault(span.kind, span.time)
+            if kind in (SPAN_FORWARD, SPAN_SEND, SPAN_AUTH_QUERY):
+                first.setdefault(kind, times[row])
         if terminal_time is None:
             continue
         forward = first.get(SPAN_FORWARD)

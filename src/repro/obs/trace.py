@@ -14,19 +14,22 @@ trace_id` through every hop, including the wire-format round-trip in
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.obs.records import SpanEvent
+from repro.obs.records import SpanLog
 
 
 class Tracer:
-    """Collects :class:`SpanEvent` rows stamped with simulator time."""
+    """Writes spans, stamped with simulator time, into a :class:`SpanLog`.
+
+    ``events`` is that log: a read-only sequence of
+    :class:`~repro.obs.records.SpanEvent` to its readers, columns
+    underneath.
+    """
 
     __slots__ = ("sim", "events", "_next_id")
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self.events: List[SpanEvent] = []
+        self.events = SpanLog()
         self._next_id = 0
 
     def new_trace(self) -> int:
@@ -39,6 +42,4 @@ class Tracer:
         self, trace_id: int, kind: str, site: str, vp: str = "", detail: str = ""
     ) -> None:
         """Record one span, stamped with the current simulated time."""
-        self.events.append(
-            SpanEvent(trace_id, self.sim.now, kind, site, vp=vp, detail=detail)
-        )
+        self.events.append(trace_id, self.sim.now, kind, site, vp, detail)

@@ -13,7 +13,7 @@ captures those and stands in for the testbed on detached results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.experiments.ddos import DDoSResult
 from repro.dnscore.name import Name
@@ -28,9 +28,12 @@ class TestbedSnapshot:
     :class:`DDoSResult`: the offered-load query log (Figures 10–12,
     trace export) plus the zone origin and NS names used to classify
     queries, and — when the run enabled observability — the emitted
-    spans, per-round metric snapshots, and kernel profile. Span and
-    snapshot records use ``__slots__`` and pickle natively, so telemetry
-    survives both the worker boundary and the disk cache.
+    spans, per-round metric snapshots, and kernel profile. The query log
+    and the spans are column stores (:mod:`repro.columns`) handed over
+    as they are: they pickle as a few typed arrays plus their interned
+    tables, so the worker boundary and the disk cache move buffers, not
+    one object per packet. ``spans`` reads as a sequence of
+    :class:`~repro.obs.records.SpanEvent` (a view, not a list).
     """
 
     # Not a pytest test class, despite the name.
@@ -39,7 +42,7 @@ class TestbedSnapshot:
     origin: Name
     test_ns_names: List[Name]
     offered_query_log: QueryLog
-    spans: List[Any] = field(default_factory=list, repr=False)
+    spans: Sequence[Any] = field(default_factory=list, repr=False)
     metric_snapshots: List[Any] = field(default_factory=list, repr=False)
     # Flight-recorder timeline points (repro.obs.timeline); empty unless
     # the run carried a TimelineSpec.
@@ -59,7 +62,7 @@ class TestbedSnapshot:
             origin=testbed.origin,
             test_ns_names=list(testbed.test_ns_names),
             offered_query_log=testbed.offered_query_log,
-            spans=list(testbed.spans),
+            spans=testbed.spans,
             metric_snapshots=list(testbed.metric_snapshots),
             timeline_points=list(testbed.timeline_points),
             source_sketch=testbed.source_sketch,

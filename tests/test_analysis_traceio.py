@@ -60,6 +60,41 @@ def test_import_rejects_unknown_qtype():
         )
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        '{"t":null,"src":"a","qname":"x.nl.","qtype":"A","server":"s"}',
+        '{"t":"1.5","src":"a","qname":"x.nl.","qtype":"A","server":"s"}',
+        '{"t":true,"src":"a","qname":"x.nl.","qtype":"A","server":"s"}',
+        '{"t":NaN,"src":"a","qname":"x.nl.","qtype":"A","server":"s"}',
+        '{"t":1e999,"src":"a","qname":"x.nl.","qtype":"A","server":"s"}',
+        '{"t":1,"src":5,"qname":"x.nl.","qtype":"A","server":"s"}',
+        '{"t":1,"src":"a","qname":5,"qtype":"A","server":"s"}',
+        '{"t":1,"src":"a","qname":["x","nl"],"qtype":"A","server":"s"}',
+        '{"t":1,"src":"a","qname":"x..nl.","qtype":"A","server":"s"}',
+        '{"t":1,"src":"a","qname":"x.nl.","qtype":28,"server":"s"}',
+        '{"t":1,"src":"a","qname":"x.nl.","qtype":"A","server":{"name":"s"}}',
+        '[1,"a","x.nl.","A","s"]',
+        '"just a string"',
+        "17",
+    ],
+)
+def test_import_rejects_hostile_rows_with_the_line_number(row):
+    good = '{"t":1,"src":"a","qname":"x.nl.","qtype":"A","server":"s"}'
+    with pytest.raises(TraceFormatError) as error:
+        import_query_log(io.StringIO(f"{good}\n\n{row}\n"))
+    assert error.value.line_number == 3
+
+
+def test_import_parses_each_distinct_qname_once():
+    row = '{"t":%d,"src":"a","qname":"1.CacheTest.nl.","qtype":"AAAA"}\n'
+    log = import_query_log(io.StringIO("".join(row % index for index in range(50))))
+    assert len(log) == 50 and len(log.qnames) == 1
+    assert {id(entry.qname) for entry in log.entries} == {id(log.qnames[0])}
+    assert str(log.entries[0].qname) == "1.CacheTest.nl."
+    assert log.entries[0].server == ""
+
+
 def make_behavior_log() -> QueryLog:
     """Two honoring sources, one early, one parallel burst source."""
     log = QueryLog()

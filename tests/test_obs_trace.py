@@ -107,8 +107,19 @@ def test_import_rejects_bad_rows():
         '{"trace_id": true, "time": 1.0, "kind": "issue", "site": "s"}',
         '{"trace_id": 1, "time": 1.0, "kind": "warp", "site": "s"}',
         "not json",
+        # Optional fields are interned as they are: they must be strings.
+        '{"trace_id": 1, "time": 1.0, "kind": "issue", "site": "s", "vp": 7}',
+        '{"trace_id": 1, "time": 1.0, "kind": "issue", "site": "s", "detail": ["x"]}',
+        '{"trace_id": 1, "time": 1.0, "kind": "issue", "site": "s", "vp": null}',
+        # Values no column can hold.
+        '{"trace_id": -1, "time": 1.0, "kind": "issue", "site": "s"}',
+        '{"trace_id": 18446744073709551616, "time": 1.0, "kind": "issue", "site": "s"}',
+        '{"trace_id": 1, "time": NaN, "kind": "issue", "site": "s"}',
+        '{"trace_id": 1, "time": 1e999, "kind": "issue", "site": "s"}',
+        '{"trace_id": 1, "time": %s, "kind": "issue", "site": "s"}' % ("9" * 400),
+        '[1, 1.0, "issue", "s"]',
     ):
-        with pytest.raises(SpanFormatError):
+        with pytest.raises(SpanFormatError, match="line 1"):
             import_spans(io.StringIO(line + "\n"))
 
 

@@ -21,7 +21,10 @@ def fill_log() -> QueryLog:
 
 def test_classify_query_kinds():
     entries = fill_log().entries
-    kinds = [classify_query_kind(entry, ZONE, [NS1, NS2]) for entry in entries]
+    kinds = [
+        classify_query_kind(entry.qname, entry.qtype, ZONE, {NS1, NS2})
+        for entry in entries
+    ]
     assert kinds == ["AAAA-for-PID", "A-for-NS", "AAAA-for-NS", "NS", "AAAA-for-PID"]
 
 
@@ -29,14 +32,18 @@ def test_classify_other_kind():
     log = QueryLog()
     log.record(0.0, "r", Name.from_text("x.example.com."), RRType.AAAA, "at1")
     log.record(0.0, "r", NS1, RRType.TXT, "at1")
-    kinds = [classify_query_kind(entry, ZONE, [NS1]) for entry in log.entries]
+    kinds = [
+        classify_query_kind(entry.qname, entry.qtype, ZONE, {NS1})
+        for entry in log.entries
+    ]
     assert kinds == ["other", "other"]
 
 
 def test_count_by_round():
     log = fill_log()
     counted = log.count_by_round(
-        600.0, lambda entry: classify_query_kind(entry, ZONE, [NS1, NS2])
+        600.0,
+        lambda qname, qtype: classify_query_kind(qname, qtype, ZONE, {NS1, NS2}),
     )
     assert counted[0] == {"AAAA-for-PID": 1, "A-for-NS": 1, "AAAA-for-NS": 1}
     assert counted[1] == {"NS": 1, "AAAA-for-PID": 1}
