@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Build the optional compiled event-queue backend in place.
+"""Build the optional compiled event-queue engine in place.
 
-The simulation kernel works without it (the pure-Python backends in
-``repro.simcore.events`` are the reference); when the shared object is
-present next to ``_ckernel.c`` the ``native`` backend registers itself and
-``queue_backend="auto"`` resolves to it. This script needs only a C
-compiler and the CPython headers -- no third-party packages.
+The simulation kernel works without it (the pure-Python heap in
+``repro.simcore.events`` is the reference); when the shared object is
+present next to ``_ckernel.c`` the ``native`` engine registers itself and
+every simulator uses it. This script needs only a C compiler and the
+CPython headers -- no third-party packages.
 
 Usage::
 

@@ -1,82 +1,30 @@
 #!/usr/bin/env python
-"""Assert the simulation kernel stays within budget of its recorded pace.
+"""Assert the observability layer is zero-cost when disabled.
 
-The observability layer promises to be zero-cost when disabled; this
-script enforces that promise twice over. First structurally: a testbed
-built without an ``ObsSpec`` must hold no registry, recorder, or
-per-source sketch and must record no telemetry after a short run
-(:func:`assert_zero_cost_disabled`). Then by pace: it re-runs the kernel micro-benchmark
-workloads from ``benchmarks/test_bench_kernel.py`` (tracing and
-profiling off, best of ``--rounds``) and compares the throughput against
-the committed numbers in ``benchmarks/output/kernel_burst.txt``,
-``kernel_retry.txt``, and ``kernel_attack.txt`` (the attack-traffic
-event path: attacker timer chains through the defense hot path),
-failing if any workload is more than ``--tolerance`` slower.
-
-The committed baselines record the *default* backend (``auto``, which
-resolves to the native C kernel when its extension is built and to the
-pure-Python timer wheel otherwise). Slower backends are still budgeted
-— each carries a per-backend fraction of the committed pace it must
-sustain (``BACKEND_BUDGETS``), so a regression in any backend trips the
-check without requiring one baseline file per backend per machine.
+A testbed built without an ``ObsSpec`` must hold no registry, recorder,
+or per-source sketch and must record no telemetry after a short run
+(:func:`assert_zero_cost_disabled`). Wall-time budgets live in
+``perfbench/``, which measures whole experiments rather than the kernel
+in isolation.
 
 Usage::
 
-    PYTHONPATH=src python scripts/check_kernel_budget.py --tolerance 0.10
-    PYTHONPATH=src python scripts/check_kernel_budget.py --all-backends
+    PYTHONPATH=src python scripts/check_kernel_budget.py
 """
 
 from __future__ import annotations
 
 import argparse
-import pathlib
-import re
 import sys
-import time
-
-BASELINE_PATTERN = re.compile(r"\(([\d,]+) (?:events|timers)/s\)")
-
-#: Fraction of the committed default-backend pace each backend must
-#: sustain. The default backend is held near the baseline; the
-#: pure-Python backends get floors derived from their measured ratios
-#: (wheel ≈ 0.35–0.55×, heap ≈ 0.26–0.36×, calendar ≈ 0.15–0.39× of the
-#: native pace, binding workload taken) with slack for machine noise.
-BACKEND_BUDGETS = {
-    "native": 0.70,
-    "wheel": 0.22,
-    "heap": 0.16,
-    "calendar": 0.09,
-}
-
-
-def read_baseline(path: pathlib.Path) -> float:
-    text = path.read_text(encoding="utf-8")
-    match = BASELINE_PATTERN.search(text)
-    if match is None:
-        raise SystemExit(
-            f"check_kernel_budget: no throughput figure in {path}"
-        )
-    return float(match.group(1).replace(",", ""))
-
-
-def best_rate(workload, backend: str, operations: int, rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        workload(backend)
-        best = min(best, time.perf_counter() - start)
-    return operations / best
 
 
 def assert_zero_cost_disabled() -> None:
     """Structurally verify the zero-cost-when-disabled promise.
 
-    The throughput floors below catch observability overhead only when
-    it is large enough to show up as a slowdown. This check pins the
-    mechanism itself: with no ``ObsSpec``, a testbed must hold *no*
-    observability objects at all — no metrics registry, no flight
-    recorder, no per-source sketch — so the hot paths capture ``None``
-    sinks at construction and skip every telemetry branch.
+    With no ``ObsSpec``, a testbed must hold *no* observability objects
+    at all — no metrics registry, no flight recorder, no per-source
+    sketch — so the hot paths capture ``None`` sinks at construction and
+    skip every telemetry branch.
     """
     from repro.clients.population import PopulationConfig
     from repro.core.testbed import Testbed, TestbedConfig
@@ -114,76 +62,11 @@ def assert_zero_cost_disabled() -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed fractional slowdown vs the budgeted floor",
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(
+        argv
     )
-    parser.add_argument(
-        "--rounds", type=int, default=3, help="timing rounds (best is used)"
-    )
-    parser.add_argument(
-        "--backend",
-        default="auto",
-        help="event-queue backend to measure (default: auto)",
-    )
-    parser.add_argument(
-        "--all-backends",
-        action="store_true",
-        help="measure every available backend against its budget",
-    )
-    args = parser.parse_args(argv)
-
-    # Reuse the exact benchmark workloads so the comparison is
-    # apples-to-apples with the committed output files.
-    bench_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
-    sys.path.insert(0, str(bench_dir))
-    from test_bench_kernel import (
-        ATTACK_EVENTS,
-        BURST_EVENTS,
-        RETRY_TIMERS,
-        attack_flood,
-        drain_burst,
-        retry_storm,
-    )
-
-    from repro.simcore.events import QUEUE_BACKENDS, resolve_queue_backend
-
     assert_zero_cost_disabled()
-
-    if args.all_backends:
-        backends = sorted(QUEUE_BACKENDS)
-    else:
-        backends = [resolve_queue_backend(args.backend)]
-
-    checks = [
-        ("burst", drain_burst, BURST_EVENTS, bench_dir / "output" / "kernel_burst.txt"),
-        ("retry-storm", retry_storm, 2 * RETRY_TIMERS, bench_dir / "output" / "kernel_retry.txt"),
-        ("attack-flood", attack_flood, ATTACK_EVENTS, bench_dir / "output" / "kernel_attack.txt"),
-    ]
-    failed = False
-    for backend in backends:
-        budget = BACKEND_BUDGETS.get(backend)
-        if budget is None:
-            raise SystemExit(
-                f"check_kernel_budget: no budget for backend {backend!r}; "
-                f"add it to BACKEND_BUDGETS"
-            )
-        for name, workload, operations, baseline_path in checks:
-            baseline = read_baseline(baseline_path)
-            measured = best_rate(workload, backend, operations, args.rounds)
-            floor = baseline * budget * (1.0 - args.tolerance)
-            verdict = "ok" if measured >= floor else "TOO SLOW"
-            print(
-                f"check_kernel_budget: {backend}/{name}: {measured:,.0f}/s "
-                f"vs baseline {baseline:,.0f}/s x budget {budget:.2f} "
-                f"(floor {floor:,.0f}/s) {verdict}"
-            )
-            if measured < floor:
-                failed = True
-    return 1 if failed else 0
+    return 0
 
 
 if __name__ == "__main__":

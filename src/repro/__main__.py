@@ -123,19 +123,6 @@ def _write_obs_outputs(args, spans, snapshots, timeline_points=(), run=None) -> 
         print(f"wrote {rows} timeline points to {args.timeline}")
 
 
-def _add_queue_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--queue-backend",
-        choices=("auto", "heap", "wheel", "calendar", "native"),
-        default="auto",  # == repro.simcore.events.DEFAULT_QUEUE_BACKEND
-        help=(
-            "simulator event-queue backend; every backend produces "
-            "identical results, this only changes wall time (default: "
-            "auto = native C kernel if built, else timer wheel)"
-        ),
-    )
-
-
 def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
@@ -179,7 +166,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         probe_count=args.probes,
         seed=args.seed,
         obs=_obs_spec(args),
-        queue_backend=args.queue_backend,
     )
     [result] = run_many(
         [request],
@@ -216,7 +202,6 @@ def _cmd_ddos(args: argparse.Namespace) -> int:
         probe_count=args.probes,
         seed=args.seed,
         obs=_obs_spec(args),
-        queue_backend=args.queue_backend,
     )
     [result] = run_many(
         [request],
@@ -494,7 +479,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         probe_count=args.probes,
         seed=args.seed,
         obs=ObsSpec(profile=True),
-        queue_backend=args.queue_backend,
     )
     profile = result.testbed.profile_summary()
     print()
@@ -583,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--probes", type=int, default=600)
     _add_runner_flags(baseline)
     _add_obs_flags(baseline)
-    _add_queue_backend_flag(baseline)
     baseline.set_defaults(func=_cmd_baseline)
 
     ddos = subparsers.add_parser("ddos", help="run a Table 4 DDoS experiment")
@@ -596,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runner_flags(ddos)
     _add_obs_flags(ddos)
-    _add_queue_backend_flag(ddos)
     ddos.set_defaults(func=_cmd_ddos)
 
     analyze = subparsers.add_parser(
@@ -737,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="callback sites listed (by wall time)",
     )
-    _add_queue_backend_flag(profile)
     profile.set_defaults(func=_cmd_profile)
 
     lint = subparsers.add_parser(

@@ -23,7 +23,6 @@ from repro.core.classification import (
 )
 from repro.core.metrics import round_index_of
 from repro.core.testbed import Testbed, TestbedConfig
-from repro.simcore.events import DEFAULT_QUEUE_BACKEND
 from repro.obs import ObsSpec
 from repro.resolvers.stub import StubAnswer
 
@@ -144,7 +143,6 @@ def run_baseline(
     population: Optional[PopulationConfig] = None,
     wire_format: bool = False,
     obs: Optional[ObsSpec] = None,
-    queue_backend: str = DEFAULT_QUEUE_BACKEND,
 ) -> BaselineResult:
     """Run one baseline experiment end to end."""
     population_config = population or PopulationConfig(probe_count=probe_count)
@@ -155,7 +153,6 @@ def run_baseline(
             population=population_config,
             wire_format=wire_format,
             obs=obs,
-            queue_backend=queue_backend,
         )
     )
     duration = spec.duration

@@ -33,7 +33,6 @@ from repro.core.metrics import (
     unique_rn_by_round,
 )
 from repro.core.testbed import Testbed, TestbedConfig
-from repro.simcore.events import DEFAULT_QUEUE_BACKEND
 from repro.obs import ObsSpec
 from repro.resolvers.stub import StubAnswer
 
@@ -198,7 +197,6 @@ def run_ddos(
     obs: Optional[ObsSpec] = None,
     attack_load=None,
     defense=None,
-    queue_backend: str = DEFAULT_QUEUE_BACKEND,
 ) -> DDoSResult:
     """Run one Table 4 experiment end to end.
 
@@ -230,7 +228,6 @@ def run_ddos(
             obs=obs,
             attack_load=attack_load,
             defense=defense,
-            queue_backend=queue_backend,
         )
     )
     duration = spec.total_duration_min * 60.0

@@ -21,7 +21,6 @@ from typing import List, Optional, Tuple
 
 from repro.clients.population import PopulationConfig
 from repro.core.testbed import Testbed, TestbedConfig
-from repro.simcore.events import DEFAULT_QUEUE_BACKEND
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRType
 from repro.netem.link import PerHostLatency
@@ -93,7 +92,6 @@ def run_glue_experiment(
     child_ttl: int = 60,
     rounds: int = 3,
     probe_interval: float = 600.0,
-    queue_backend: str = DEFAULT_QUEUE_BACKEND,
 ) -> GlueResult:
     """Table 5: population-wide NS/A TTL observations.
 
@@ -108,7 +106,6 @@ def run_glue_experiment(
             zone_ttl=child_ttl,
             delegation_ttl=parent_ttl,
             population=population,
-            queue_backend=queue_backend,
         )
     )
     duration = rounds * probe_interval

@@ -11,13 +11,13 @@ strong:
 * **Queue internals stay in the kernel.** The ``(time, seq)`` ordering
   key, the lazy-deletion live/dead counts, and the ``Event.cancel``
   span hook are internal contracts of ``repro.simcore.events`` — and
-  since the queue became pluggable (heap / timer wheel / calendar /
-  native), so are every backend's private structures. Code anywhere
-  else that touches ``._heap``, reaches into a queue's backend state
-  (``sim._queue._live``, ``…_queue._buckets``, …), imports ``heapq``,
-  or assigns ``sim.now`` bypasses the public ``push``/``pop_due``/
-  ``depth``/``stats`` API and silently breaks those contracts — or
-  breaks outright when the configured backend changes.
+  since the queue has two engines (heap / native), so are both
+  engines' private structures. Code anywhere else that touches
+  ``._heap``, reaches into a queue's engine state (``sim._queue._live``,
+  ``…_queue._inner``, …), imports ``heapq``, or assigns ``sim.now``
+  bypasses the public ``push``/``pop_due``/``depth``/``stats`` API and
+  silently breaks those contracts — or breaks outright on a machine
+  where the other engine is built.
 """
 
 from __future__ import annotations
@@ -31,31 +31,11 @@ KERNEL_PREFIX = "repro/simcore/"
 
 SIM_RECEIVER_NAMES = frozenset({"sim", "_sim", "simulator"})
 
-#: Private attributes of the event-queue backends (heap / timer wheel /
-#: calendar / native). ``_heap`` is flagged on any receiver (its name is
-#: unambiguous); the rest only when the receiver itself looks like an
-#: event queue, so e.g. a rate limiter's own ``self._buckets`` is fine.
-QUEUE_INTERNAL_ATTRS = frozenset(
-    {
-        "_live",
-        "_dead",
-        "_seq",
-        "_buckets",
-        "_days",
-        "_width",
-        "_day",
-        "_active",
-        "_apos",
-        "_loads",
-        "_loaded",
-        "_inner",
-        "_push_fn",
-        "_pop_due_fn",
-        "_peek_fn",
-        "_drain_fn",
-        "_sched_fn",
-    }
-)
+#: Private attributes of the event-queue engines (heap / native).
+#: ``_heap`` is flagged on any receiver (its name is unambiguous); the
+#: rest only when the receiver itself looks like an event queue, so e.g.
+#: a rate limiter's own ``self._seq`` is fine.
+QUEUE_INTERNAL_ATTRS = frozenset({"_live", "_dead", "_seq", "_inner"})
 
 QUEUE_RECEIVER_NAMES = frozenset({"queue", "_queue", "event_queue"})
 

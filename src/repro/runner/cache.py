@@ -73,17 +73,29 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path.home() / ".cache" / "repro-runs"
 
 
+#: Source files that determine results: the Python tree plus the C
+#: source of the optional compiled event kernel.
+SOURCE_SUFFIXES = (".py", ".c")
+
+
+def source_digest(root: pathlib.Path) -> str:
+    """Digest of every source file (``SOURCE_SUFFIXES``) under ``root``."""
+    digest = hashlib.sha256()
+    for path in sorted(
+        path for path in root.rglob("*") if path.suffix in SOURCE_SUFFIXES
+    ):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def code_fingerprint() -> str:
     """Digest of the installed ``repro`` source tree (cached per process)."""
     global _FINGERPRINT
     if _FINGERPRINT is None:
         root = pathlib.Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-        _FINGERPRINT = digest.hexdigest()[:16]
+        _FINGERPRINT = source_digest(root)
     return _FINGERPRINT
 
 

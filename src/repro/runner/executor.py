@@ -54,7 +54,6 @@ from repro.obs import MetricsRegistry, ObsSpec
 from repro.runner.cache import MISS, DiskCache, cache_key
 from repro.runner.failures import RetryPolicy, RunFailure, RunFailureError
 from repro.runner.results import detach_result
-from repro.simcore.events import DEFAULT_QUEUE_BACKEND
 
 KIND_DDOS = "ddos"
 KIND_BASELINE = "baseline"
@@ -107,12 +106,6 @@ class RunRequest:
     # of the same scenario are different artifacts.
     attack_load: Optional[AttackLoadSpec] = None
     defense: Optional[DefenseSpec] = None
-    # Event-queue backend for the simulator kernel. Every backend
-    # produces identical event ordering (and therefore identical
-    # results); the field participates in the cache key as the
-    # *requested* name, so "auto" keys the same on every machine
-    # regardless of which concrete backend it resolves to.
-    queue_backend: str = DEFAULT_QUEUE_BACKEND
 
     def option_kwargs(self) -> Dict[str, Any]:
         return dict(self.options)
@@ -127,7 +120,6 @@ def ddos_request(
     obs: Optional[ObsSpec] = None,
     attack_load: Optional[AttackLoadSpec] = None,
     defense: Optional[DefenseSpec] = None,
-    queue_backend: str = DEFAULT_QUEUE_BACKEND,
 ) -> RunRequest:
     return RunRequest(
         KIND_DDOS,
@@ -139,7 +131,6 @@ def ddos_request(
         obs=obs,
         attack_load=attack_load,
         defense=defense,
-        queue_backend=queue_backend,
     )
 
 
@@ -150,7 +141,6 @@ def baseline_request(
     population: Optional[PopulationConfig] = None,
     wire_format: bool = False,
     obs: Optional[ObsSpec] = None,
-    queue_backend: str = DEFAULT_QUEUE_BACKEND,
 ) -> RunRequest:
     return RunRequest(
         KIND_BASELINE,
@@ -160,7 +150,6 @@ def baseline_request(
         wire_format,
         population,
         obs=obs,
-        queue_backend=queue_backend,
     )
 
 
@@ -262,7 +251,6 @@ def execute_request(request: RunRequest) -> Any:
             obs=request.obs,
             attack_load=request.attack_load,
             defense=request.defense,
-            queue_backend=request.queue_backend,
         )
     elif kind == KIND_BASELINE:
         result = run_baseline(
@@ -272,7 +260,6 @@ def execute_request(request: RunRequest) -> Any:
             population=request.population,
             wire_format=request.wire_format,
             obs=request.obs,
-            queue_backend=request.queue_backend,
         )
     elif kind == KIND_GLUE:
         from repro.core.experiments.glue import run_glue_experiment
@@ -280,7 +267,6 @@ def execute_request(request: RunRequest) -> Any:
         result = run_glue_experiment(
             probe_count=request.probe_count,
             seed=request.seed,
-            queue_backend=request.queue_backend,
             **request.option_kwargs(),
         )
     elif kind == KIND_CACHE_DUMP:

@@ -15,11 +15,9 @@ scheduled callbacks or generator processes on top of it.
 from repro.simcore.events import (
     DEFAULT_QUEUE_BACKEND,
     QUEUE_BACKENDS,
-    CalendarEventQueue,
     Event,
     EventQueue,
     SimulationError,
-    TimerWheelEventQueue,
     make_queue,
     resolve_queue_backend,
 )
@@ -29,7 +27,6 @@ from repro.simcore.simulator import SimProfile, Simulator
 
 __all__ = [
     "AnyOf",
-    "CalendarEventQueue",
     "DEFAULT_QUEUE_BACKEND",
     "Event",
     "EventQueue",
@@ -40,7 +37,6 @@ __all__ = [
     "SimProfile",
     "SimulationError",
     "Simulator",
-    "TimerWheelEventQueue",
     "Timeout",
     "make_queue",
     "resolve_queue_backend",

@@ -1,46 +1,28 @@
-"""Event queue backends for the discrete-event simulator.
+"""The event queue behind the discrete-event simulator.
 
 Events are ordered by ``(time, seq)`` so simultaneous events run in the
 deterministic order they were scheduled, which keeps whole simulations
-reproducible from a single seed. Every backend stores ``(time, seq, event)``
-tuples (or the C equivalent) rather than events themselves: tuple comparison
-is handled entirely in C, so no backend ever pays for a Python-level
-``__lt__`` per comparison. ``Event`` therefore deliberately does NOT define
-``__lt__``; see ``tests/test_simcore_events.py`` for the regression test
-pinning that invariant.
+reproducible from a single seed. The queue stores ``(time, seq, event)``
+tuples (or the C equivalent) rather than events themselves: tuple
+comparison is handled entirely in C, so ordering never pays for a
+Python-level ``__lt__`` per comparison. ``Event`` therefore deliberately
+does NOT define ``__lt__``; see ``tests/test_simcore_events.py`` for the
+regression test pinning that invariant.
 
-The queue is pluggable behind one protocol (``push`` / ``pop`` /
-``pop_due`` / ``peek_time`` / ``depth`` / ``__len__`` plus the run-loop
-hooks ``drain`` and ``make_call_later``). Four backends implement it:
+One ordering contract, two engines, chosen at build time rather than by
+the user:
 
 ``heap``
-    The PR 1 binary heap, kept as the always-correct reference. Simple,
+    A binary heap with lazy deletion, the always-correct reference.
     O(log n) per operation, no assumptions about the time distribution.
 
-``wheel``
-    A hierarchical timer wheel: ticks of 1/1024 s (a power of two, so the
-    tick of a float time is exact), an 8192-slot inner wheel (~8 s), a
-    4096-slot outer wheel (~9.1 h) and an overflow heap beyond that.
-    Push and cancel are O(1); expiry sorts one slot at a time and serves
-    it as a batch. The wheel state lives in closure cells rather than
-    instance attributes -- in CPython, ``LOAD_DEREF`` is several times
-    cheaper than ``LOAD_ATTR``/``STORE_ATTR``, and the hot path touches
-    that state on every push.
-
-``calendar``
-    A calendar queue: buckets of adaptive width indexed by "day"
-    (``int(time / width)``), a day-heap to find the next occupied bucket,
-    and spread-on-overflow resizing. Wins when timestamps are spread
-    evenly at a stable density; kept mainly as an independently-derived
-    cross-check for the differential ordering test.
-
 ``native``
-    A compiled C transliteration of the heap reference (see
-    ``_ckernel.c``), registered only when the shared object has been
-    built (``scripts/build_native_kernel.py``). Same ordering contract,
-    no interpreter frames in the hot loop.
+    A compiled C transliteration of the heap (see ``_ckernel.c``),
+    registered only when the shared object has been built
+    (``scripts/build_native_kernel.py``). Same ordering contract, no
+    interpreter frames in the hot loop.
 
-All backends produce *identical* event ordering -- ``(time, seq)`` total
+Both engines produce *identical* event ordering -- ``(time, seq)`` total
 order, FIFO within an instant, cancel-before-fire span terminators --
 verified by ``tests/test_simcore_queue_differential.py``, which replays
 seeded push/cancel/drain traces against the heap reference.
@@ -50,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import importlib
-from bisect import insort
 from types import ModuleType
 from typing import (
     TYPE_CHECKING,
@@ -105,7 +86,7 @@ class Event:
         seq: int,
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
-        queue: Optional["BaseEventQueue"] = None,
+        queue: Optional["EventQueue"] = None,
     ) -> None:
         self.time = time
         self.seq = seq
@@ -150,23 +131,27 @@ class Event:
         return f"<Event t={self.time:.6f} seq={self.seq} {state}>"
 
 
-class BaseEventQueue:
-    """Shared accounting and generic run-loop hooks for queue backends.
+class EventQueue:
+    """Binary-heap event queue: the reference engine.
 
+    Cancelled events stay in the heap and are skipped on pop; this is the
+    standard lazy-deletion pattern and keeps :meth:`Event.cancel` O(1).
     ``_live`` counts pending non-cancelled events; ``_dead`` counts
-    cancelled events still stored awaiting lazy removal. ``Event.cancel``
-    moves one from live to dead; serving code decrements whichever side
-    it consumes. ``depth()`` (live + dead) is what the profiler tracks,
+    cancelled events still stored awaiting removal. ``Event.cancel``
+    moves one from live to dead; popping decrements whichever side it
+    consumes. ``depth()`` (live + dead) is what the profiler tracks,
     making lazy-deletion bloat observable.
     """
 
-    __slots__ = ("_live", "_dead")
+    __slots__ = ("_live", "_dead", "_heap", "_seq")
 
-    backend = "abstract"
+    backend = "heap"
 
     def __init__(self) -> None:
         self._live = 0
         self._dead = 0
+        self._heap: List[Tuple[float, int, Event]] = []
+        self._seq = 0
 
     def __len__(self) -> int:
         return self._live
@@ -183,88 +168,6 @@ class BaseEventQueue:
             "dead": self._dead,
             "depth": self._live + self._dead,
         }
-
-    # -- protocol methods implemented by each backend -------------------
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-    ) -> Event:
-        raise NotImplementedError
-
-    def pop(self) -> Optional[Event]:
-        raise NotImplementedError
-
-    def pop_due(self, limit: Optional[float] = None) -> Optional[Event]:
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[float]:
-        raise NotImplementedError
-
-    # -- run-loop hooks -------------------------------------------------
-    def drain(self, sim: "Simulator", until: Optional[float]) -> None:
-        """Fire every due event, maintaining ``sim.now``/``events_processed``.
-
-        This generic loop is the reference semantics for the hook: pop one
-        due event at a time, advance the clock, fire, honor ``sim.stop()``
-        after the current callback, and count the event even when its
-        callback raises. Backends may override it with a batched loop, but
-        must preserve exactly this observable behavior.
-        """
-        fired = 0
-        pop_due = self.pop_due
-        try:
-            while True:
-                event = pop_due(until)
-                if event is None:
-                    break
-                sim.now = event.time
-                fired += 1
-                event.callback(*event.args)
-                if sim._stopped:
-                    break
-        finally:
-            sim.events_processed += fired
-
-    def make_call_later(self, sim: "Simulator") -> Callable[..., Event]:
-        """Build the simulator's ``call_later`` entry point.
-
-        Returned as a closure so backends can fuse scheduling into a
-        single call frame; this generic version simply validates the
-        delay and pushes.
-        """
-        push = self.push
-
-        def call_later(
-            delay: float, callback: Callable[..., Any], *args: Any
-        ) -> Event:
-            """Schedule ``callback(*args)`` after ``delay`` seconds."""
-            # Fast path: valid delays go straight to the queue. The
-            # comparison is False for NaN, so NaN delays take the error
-            # branch too.
-            if delay >= 0:
-                return push(sim.now + delay, callback, args)
-            raise SimulationError(f"negative delay {delay!r}")
-
-        return call_later
-
-
-class EventQueue(BaseEventQueue):
-    """Binary-heap backend: the PR 1 kernel, kept as the reference.
-
-    Cancelled events stay in the heap and are skipped on pop; this is the
-    standard lazy-deletion pattern and keeps :meth:`Event.cancel` O(1).
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    backend = "heap"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[Tuple[float, int, Event]] = []
-        self._seq = 0
 
     def push(
         self,
@@ -329,583 +232,50 @@ class EventQueue(BaseEventQueue):
             return None
         return heap[0][0]
 
-
-# ----------------------------------------------------------------------
-# Timer wheel
-# ----------------------------------------------------------------------
-
-# One tick is 2**-10 s: multiplying a float time by 1024.0 is exact, so
-# int(time * _TICK_INV) is a monotone, deterministic tick mapping.
-_TICK_INV = 1024.0
-_L0_BITS = 13  # inner wheel: 8192 slots == 8 s horizon
-_L1_BITS = 12  # outer wheel: 4096 windows == ~9.1 h horizon
-_W0 = 1 << _L0_BITS
-_W1 = 1 << _L1_BITS
-_M0 = _W0 - 1
-_M1 = _W1 - 1
-_L01_BITS = _L0_BITS + _L1_BITS
-
-_new_event = object.__new__
-
-
-class TimerWheelEventQueue(BaseEventQueue):
-    """Hierarchical timer wheel backend.
-
-    The fastest pure-Python backend for the simulator's workload
-    (overwhelmingly short fixed-delay timers: retries, timeouts, packet
-    hops, attacker chains). ``push`` appends to a slot in O(1); serving
-    sorts one slot at a time and fires it as a batch without per-event
-    queue round-trips.
-
-    The mutable wheel state lives in closure cells built by
-    :func:`_build_wheel`; the bound closures are stored on private
-    instance attributes and exposed through thin protocol methods. Only
-    ``make_call_later``'s product is truly hot, and it runs entirely on
-    cell variables.
-
-    Frontier/ordering invariants (load-bearing, also exercised by the
-    differential test):
-
-    * ``frontier`` is the next unserved tick; pushes at/after it index a
-      wheel slot, pushes before it merge into the partially-served active
-      slot with ``insort(active, entry, lo=apos)``. A merged entry always
-      lands at/after the serve cursor because the active list's served
-      prefix only holds entries that sort strictly earlier.
-    * Slot lists receive entries in ``seq`` order, and cascades/refills
-      preserve that, so ``list.sort`` (stable, C) yields exact
-      ``(time, seq)`` order within a slot.
-    """
-
-    __slots__ = (
-        "_push_fn",
-        "_pop_due_fn",
-        "_peek_fn",
-        "_drain_fn",
-        "_sched_fn",
-    )
-
-    backend = "wheel"
-
-    _push_fn: Callable[..., Event]
-    _pop_due_fn: Callable[[Optional[float]], Optional[Event]]
-    _peek_fn: Callable[[], Optional[float]]
-    _drain_fn: Callable[["Simulator", Optional[float]], None]
-    _sched_fn: Callable[["Simulator"], Callable[..., Event]]
-
-    def __init__(self) -> None:
-        super().__init__()
-        _build_wheel(self)
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-    ) -> Event:
-        return self._push_fn(time, callback, args)
-
-    def pop(self) -> Optional[Event]:
-        return self._pop_due_fn(None)
-
-    def pop_due(self, limit: Optional[float] = None) -> Optional[Event]:
-        return self._pop_due_fn(limit)
-
-    def peek_time(self) -> Optional[float]:
-        return self._peek_fn()
-
     def drain(self, sim: "Simulator", until: Optional[float]) -> None:
-        self._drain_fn(sim, until)
+        """Fire every due event, maintaining ``sim.now``/``events_processed``.
 
-    def make_call_later(self, sim: "Simulator") -> Callable[..., Event]:
-        return self._sched_fn(sim)
-
-
-def _build_wheel(queue: TimerWheelEventQueue) -> None:
-    """Construct the wheel closures over shared cell state.
-
-    Everything below closes over the same cells: two wheels of slot
-    lists, the overflow heap, occupancy counters (to skip empty windows
-    wholesale), the tick frontier with its precomputed window ends, and
-    the active slot with its serve cursor.
-    """
-    slots0: List[List[Tuple[float, int, Event]]] = [[] for _ in range(_W0)]
-    slots1: List[List[Tuple[float, int, Event]]] = [[] for _ in range(_W1)]
-    overflow: List[Tuple[float, int, Event]] = []
-    count0 = 0  # entries currently stored in slots0
-    count1 = 0  # entries currently stored in slots1
-    frontier = 0  # next tick to serve
-    l0_end = _W0  # first tick past the current inner window
-    l01_end = _W0 * _W1  # first tick past the current outer window
-    active: Optional[List[Tuple[float, int, Event]]] = None
-    apos = 0  # serve cursor into `active`
-    seq = 0
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    def push(
-        time: float, callback: Callable[..., Any], args: Tuple[Any, ...] = ()
-    ) -> Event:
-        nonlocal seq, count0, count1, active, apos
-        seq = seq + 1
-        event: Event = _new_event(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event.span = None
-        event._queue = queue
-        queue._live += 1
-        tick = int(time * _TICK_INV)
-        if tick >= frontier:
-            if tick < l0_end:
-                slots0[tick & _M0].append((time, seq, event))
-                count0 += 1
-            elif tick < l01_end:
-                slots1[(tick >> _L0_BITS) & _M1].append((time, seq, event))
-                count1 += 1
-            else:
-                heappush(overflow, (time, seq, event))
-        elif active is None:
-            active = [(time, seq, event)]
-            apos = 0
-        else:
-            insort(active, (time, seq, event), apos)
-        return event
-
-    def _roll_windows(tick: int) -> None:
-        nonlocal frontier, l0_end, l01_end
-        frontier = tick
-        l0_end = ((tick >> _L0_BITS) + 1) << _L0_BITS
-        l01_end = ((tick >> _L01_BITS) + 1) << _L01_BITS
-
-    def load(limit_tick: Optional[int]) -> bool:
-        """Advance the frontier to the next occupied slot and activate it.
-
-        Stops early (returning ``False``, frontier parked at/before the
-        bound) when ``limit_tick`` is given and the next occupied slot
-        lies beyond it, so a bounded run never pulls far-future slots
-        into the active list.
+        Pops one due event at a time, advances the clock, fires, honors
+        ``sim.stop()`` after the current callback, and counts the event
+        even when its callback raises. The native engine's ``drain`` must
+        preserve exactly this observable behavior.
         """
-        nonlocal count0, count1, frontier, l0_end, l01_end, active, apos
-        while True:
-            tick = frontier
-            if count0:
-                end = l0_end
-                if limit_tick is not None and limit_tick + 1 < end:
-                    end = limit_tick + 1
-                while tick < end:
-                    slot = slots0[tick & _M0]
-                    if slot:
-                        slots0[tick & _M0] = []
-                        count0 -= len(slot)
-                        slot.sort()
-                        active = slot
-                        apos = 0
-                        frontier = tick + 1
-                        return True
-                    tick += 1
-                if tick < l0_end:  # parked on the bound, not a window edge
-                    frontier = tick
-                    return False
-                _roll_windows(tick)
-                continue
-            if tick < l0_end:
-                # Inner window is empty: jump straight to its end.
-                if limit_tick is not None and limit_tick + 1 < l0_end:
-                    frontier = limit_tick + 1
-                    return False
-                tick = l0_end
-                _roll_windows(tick)
-            if count1:
-                end = l01_end
-                cascaded = False
-                while tick < end:
-                    if limit_tick is not None and tick > limit_tick:
-                        frontier = tick
-                        return False
-                    slot1 = slots1[(tick >> _L0_BITS) & _M1]
-                    if slot1:
-                        # Cascade one outer slot into the inner wheel; an
-                        # outer slot covers exactly one aligned inner
-                        # window, so `tick & _M0` re-buckets it exactly.
-                        slots1[(tick >> _L0_BITS) & _M1] = []
-                        count1 -= len(slot1)
-                        for entry in slot1:
-                            slots0[int(entry[0] * _TICK_INV) & _M0].append(
-                                entry
-                            )
-                        count0 += len(slot1)
-                        frontier = tick
-                        l0_end = tick + _W0
-                        cascaded = True
-                        break
-                    tick += _W0
-                if cascaded:
-                    continue
-                _roll_windows(tick)
-                continue
-            if overflow:
-                first_tick = int(overflow[0][0] * _TICK_INV)
-                if limit_tick is not None and first_tick > limit_tick:
-                    return False
-                _roll_windows(first_tick)
-                while overflow:
-                    head = overflow[0]
-                    tick = int(head[0] * _TICK_INV)
-                    if tick >= l01_end:
-                        break
-                    heappop(overflow)
-                    if tick < l0_end:
-                        slots0[tick & _M0].append(head)
-                        count0 += 1
-                    else:
-                        slots1[(tick >> _L0_BITS) & _M1].append(head)
-                        count1 += 1
-                continue
-            return False
-
-    def pop_due(limit: Optional[float]) -> Optional[Event]:
-        nonlocal active, apos
-        while True:
-            slot = active
-            if slot is None or apos >= len(slot):
-                active = None
-                bound = None if limit is None else int(limit * _TICK_INV)
-                if not load(bound):
-                    return None
-                slot = active
-                assert slot is not None
-            n = len(slot)
-            i = apos
-            while i < n:
-                time, _, event = slot[i]
-                if event.cancelled:
-                    i += 1
-                    queue._dead -= 1
-                    continue
-                if limit is not None and time > limit:
-                    apos = i
-                    return None
-                apos = i + 1
-                queue._live -= 1
-                event._queue = None
-                return event
-            apos = i
-
-    def peek_time() -> Optional[float]:
-        nonlocal active, apos
-        while True:
-            slot = active
-            if slot is None or apos >= len(slot):
-                active = None
-                if not load(None):
-                    return None
-                slot = active
-                assert slot is not None
-            n = len(slot)
-            i = apos
-            while i < n:
-                time, _, event = slot[i]
-                if event.cancelled:
-                    i += 1
-                    queue._dead -= 1
-                    continue
-                apos = i
-                return time
-            apos = i
-
-    def drain(sim: "Simulator", until: Optional[float]) -> None:
-        # Batched dispatch: each occupied slot is sorted once and fired
-        # as a run, without re-consulting the wheel per event. Events
-        # stay attached until the instant they fire, so same-instant
-        # cancels behave exactly as in the reference loop, and the
-        # live/dead ledger is settled per slot in the inner `finally`.
-        nonlocal active, apos
         fired = 0
-        limit_tick = None if until is None else int(until * _TICK_INV)
+        pop_due = self.pop_due
         try:
             while True:
-                slot = active
-                if slot is None or apos >= len(slot):
-                    active = None
-                    if not load(limit_tick):
-                        return
-                    slot = active
-                    assert slot is not None
-                n = len(slot)
-                i = apos
-                start = i
-                fired_before = fired
-                try:
-                    if until is None:
-                        while i < n:
-                            time, _, event = slot[i]
-                            i += 1
-                            if event.cancelled:
-                                continue
-                            sim.now = time
-                            event._queue = None
-                            fired += 1
-                            event.callback(*event.args)
-                            if sim._stopped:
-                                return
-                    else:
-                        while i < n:
-                            time, _, event = slot[i]
-                            if time > until:
-                                return
-                            i += 1
-                            if event.cancelled:
-                                continue
-                            sim.now = time
-                            event._queue = None
-                            fired += 1
-                            event.callback(*event.args)
-                            if sim._stopped:
-                                return
-                finally:
-                    apos = i
-                    delta_fired = fired - fired_before
-                    queue._live -= delta_fired
-                    queue._dead -= (i - start) - delta_fired
+                event = pop_due(until)
+                if event is None:
+                    break
+                sim.now = event.time
+                fired += 1
+                event.callback(*event.args)
+                if sim._stopped:
+                    break
         finally:
             sim.events_processed += fired
 
-    def make_call_later(sim: "Simulator") -> Callable[..., Event]:
-        # The fused scheduler: one call frame, cell-variable state, and
-        # the full push body inlined. Must stay in lockstep with push()
-        # above -- the differential test replays identical traces through
-        # both entry points to catch drift.
+    def make_call_later(self, sim: "Simulator") -> Callable[..., Event]:
+        """Build the simulator's ``call_later`` entry point.
+
+        Returned as a closure so the native engine can fuse scheduling
+        into a single call frame; this version simply validates the delay
+        and pushes.
+        """
+        push = self.push
+
         def call_later(
             delay: float, callback: Callable[..., Any], *args: Any
         ) -> Event:
             """Schedule ``callback(*args)`` after ``delay`` seconds."""
-            nonlocal seq, count0, count1, active, apos
+            # Fast path: valid delays go straight to the queue. The
+            # comparison is False for NaN, so NaN delays take the error
+            # branch too.
             if delay >= 0:
-                time = sim.now + delay
-                seq = seq + 1
-                event: Event = _new_event(Event)
-                event.time = time
-                event.seq = seq
-                event.callback = callback
-                event.args = args
-                event.cancelled = False
-                event.span = None
-                event._queue = queue
-                queue._live += 1
-                tick = int(time * _TICK_INV)
-                if tick >= frontier:
-                    if tick < l0_end:
-                        slots0[tick & _M0].append((time, seq, event))
-                        count0 += 1
-                    elif tick < l01_end:
-                        slots1[(tick >> _L0_BITS) & _M1].append(
-                            (time, seq, event)
-                        )
-                        count1 += 1
-                    else:
-                        heappush(overflow, (time, seq, event))
-                elif active is None:
-                    active = [(time, seq, event)]
-                    apos = 0
-                else:
-                    insort(active, (time, seq, event), apos)
-                return event
+                return push(sim.now + delay, callback, args)
             raise SimulationError(f"negative delay {delay!r}")
 
         return call_later
-
-    queue._push_fn = push
-    queue._pop_due_fn = pop_due
-    queue._peek_fn = peek_time
-    queue._drain_fn = drain
-    queue._sched_fn = make_call_later
-
-
-# ----------------------------------------------------------------------
-# Calendar queue
-# ----------------------------------------------------------------------
-
-_CAL_INITIAL_WIDTH = 0.01  # 10 ms buckets to start
-_CAL_MIN_WIDTH = 2.0**-20
-_CAL_MAX_WIDTH = 4096.0
-_CAL_SPREAD_LIMIT = 512  # halve the width when a bucket outgrows this
-_CAL_SPARSE_LOADS = 256  # double it when this many loads stay near-empty
-
-
-class CalendarEventQueue(BaseEventQueue):
-    """Calendar-queue backend with adaptive bucket width.
-
-    Events land in "day" buckets (``day = int(time / width)``); a heap of
-    occupied days finds the next bucket, which is sorted and served like
-    a wheel slot. The width adapts to the observed distribution: it is
-    halved when a single bucket outgrows ``_CAL_SPREAD_LIMIT`` (spread on
-    overflow) and doubled when many consecutive loads produce near-empty
-    buckets. Both triggers depend only on queue state, so resizing is
-    deterministic.
-
-    Pushes for a day that is already being served clamp into the active
-    bucket via ``insort(active, entry, lo=cursor)``; such entries are
-    global minima among pending events, so the (time, seq) serve order is
-    preserved exactly.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_days",
-        "_width",
-        "_day",
-        "_active",
-        "_apos",
-        "_seq",
-        "_loads",
-        "_loaded",
-    )
-
-    backend = "calendar"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._buckets: Dict[int, List[Tuple[float, int, Event]]] = {}
-        self._days: List[int] = []
-        self._width = _CAL_INITIAL_WIDTH
-        self._day = 0  # next day index to load
-        self._active: Optional[List[Tuple[float, int, Event]]] = None
-        self._apos = 0
-        self._seq = 0
-        self._loads = 0
-        self._loaded = 0
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-    ) -> Event:
-        self._seq += 1
-        seq = self._seq
-        event = Event(time, seq, callback, args, queue=self)
-        self._live += 1
-        day = int(time / self._width)
-        if day < self._day:
-            active = self._active
-            if active is None:
-                self._active = [(time, seq, event)]
-                self._apos = 0
-            else:
-                insort(active, (time, seq, event), self._apos)
-            return event
-        bucket = self._buckets.get(day)
-        if bucket is None:
-            self._buckets[day] = [(time, seq, event)]
-            heapq.heappush(self._days, day)
-        else:
-            bucket.append((time, seq, event))
-            if (
-                len(bucket) > _CAL_SPREAD_LIMIT
-                and self._width > _CAL_MIN_WIDTH
-            ):
-                self._rebucket(self._width / 2.0)
-        return event
-
-    def _rebucket(self, width: float) -> None:
-        """Re-index every future bucket under a new width."""
-        entries: List[Tuple[float, int, Event]] = []
-        for bucket in self._buckets.values():
-            entries.extend(bucket)
-        frontier_time = self._day * self._width
-        self._buckets.clear()
-        self._width = width
-        self._day = int(frontier_time / width)
-        day_floor = self._day
-        buckets = self._buckets
-        for entry in entries:
-            day = int(entry[0] / width)
-            if day < day_floor:
-                day = day_floor
-            bucket = buckets.get(day)
-            if bucket is None:
-                buckets[day] = [entry]
-            else:
-                bucket.append(entry)
-        # Re-bucketed lists may interleave seq order; restore it so the
-        # serve-time stable sort sees per-slot seq-ordered input.
-        for bucket in buckets.values():
-            bucket.sort()
-        self._days = sorted(buckets)
-        heapq.heapify(self._days)
-        self._loads = 0
-        self._loaded = 0
-
-    def _load(self) -> bool:
-        days = self._days
-        buckets = self._buckets
-        while days:
-            day = heapq.heappop(days)
-            bucket = buckets.pop(day, None)
-            if bucket is None:  # stale index after a resize
-                continue
-            self._day = day + 1
-            bucket.sort()
-            self._active = bucket
-            self._apos = 0
-            self._loads += 1
-            self._loaded += len(bucket)
-            if (
-                self._loads >= _CAL_SPARSE_LOADS
-                and self._loaded < 2 * self._loads
-                and self._width < _CAL_MAX_WIDTH
-            ):
-                self._rebucket(self._width * 2.0)
-            return True
-        return False
-
-    def pop_due(self, limit: Optional[float] = None) -> Optional[Event]:
-        while True:
-            active = self._active
-            if active is None or self._apos >= len(active):
-                self._active = None
-                if (
-                    limit is not None
-                    and self._days
-                    and self._days[0] * self._width > limit
-                ):
-                    return None  # next bucket is wholly beyond the bound
-                if not self._load():
-                    return None
-                continue
-            i = self._apos
-            time, _, event = active[i]
-            if event.cancelled:
-                self._apos = i + 1
-                self._dead -= 1
-                continue
-            if limit is not None and time > limit:
-                return None
-            self._apos = i + 1
-            self._live -= 1
-            event._queue = None
-            return event
-
-    def pop(self) -> Optional[Event]:
-        return self.pop_due(None)
-
-    def peek_time(self) -> Optional[float]:
-        while True:
-            active = self._active
-            if active is None or self._apos >= len(active):
-                self._active = None
-                if not self._load():
-                    return None
-                continue
-            i = self._apos
-            time, _, event = active[i]
-            if event.cancelled:
-                self._apos = i + 1
-                self._dead -= 1
-                continue
-            return time
 
 
 class NativeEventQueue:
@@ -977,30 +347,21 @@ class NativeEventQueue:
         )
 
 
-# ----------------------------------------------------------------------
-# Backend registry
-# ----------------------------------------------------------------------
-
-QUEUE_BACKENDS: Dict[str, Callable[[], Any]] = {
-    "heap": EventQueue,
-    "wheel": TimerWheelEventQueue,
-    "calendar": CalendarEventQueue,
-}
+QUEUE_BACKENDS: Dict[str, Callable[[], Any]] = {"heap": EventQueue}
 if _ckernel is not None:
     QUEUE_BACKENDS["native"] = NativeEventQueue
 
-#: The config-facing default. "auto" resolves to the compiled kernel when
-#: it has been built and to the timer wheel (the fastest pure-Python
-#: backend -- it beat the heap across the committed kernel benchmarks)
-#: otherwise. Because every backend produces identical event ordering,
-#: the resolution never changes experiment results, only wall time.
+#: What every simulator uses. "auto" resolves to the compiled kernel when
+#: it has been built and to the heap otherwise: a build-time choice, not
+#: a user option. Both engines produce identical event ordering, so the
+#: resolution never changes experiment results, only wall time.
 DEFAULT_QUEUE_BACKEND = "auto"
 
 
 def resolve_queue_backend(name: str) -> str:
     """Map a configured backend name to a concrete registry key."""
     if name == "auto":
-        return "native" if "native" in QUEUE_BACKENDS else "wheel"
+        return "native" if "native" in QUEUE_BACKENDS else "heap"
     if name not in QUEUE_BACKENDS:
         known = ", ".join(sorted(QUEUE_BACKENDS) + ["auto"])
         raise ValueError(f"unknown queue backend {name!r} (known: {known})")

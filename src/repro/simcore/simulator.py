@@ -1,4 +1,4 @@
-"""The simulation kernel: a virtual clock driving a pluggable event queue."""
+"""The simulation kernel: a virtual clock driving an event queue."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.simcore.events import (
     Event,
     SimulationError,
     make_queue,
-    resolve_queue_backend,
 )
 
 __all__ = ["SimProfile", "SimulationError", "Simulator"]
@@ -79,11 +78,13 @@ class Simulator:
     same instant run in scheduling order. The kernel never advances the
     clock past ``until`` when one is given to :meth:`run`.
 
-    ``queue_backend`` selects the event-queue implementation (see
-    ``repro.simcore.events``); every backend yields identical event
-    ordering, so the choice affects wall time only. ``call_later`` is an
-    instance attribute built by the backend: the hot backends fuse the
-    delay check and the queue insert into a single call frame.
+    The event queue is the compiled kernel when it has been built and the
+    heap otherwise (see ``repro.simcore.events``). ``queue_backend`` pins
+    one engine by name; it exists for the differential tests, since both
+    engines yield identical event ordering and differ in wall time only.
+    ``call_later`` is an instance attribute built by the queue: the native
+    engine fuses the delay check and the queue insert into a single call
+    frame.
 
     Example:
         >>> sim = Simulator()
@@ -96,7 +97,6 @@ class Simulator:
 
     __slots__ = (
         "now",
-        "queue_backend",
         "_queue",
         "_running",
         "_stopped",
@@ -110,7 +110,6 @@ class Simulator:
 
     def __init__(self, queue_backend: str = DEFAULT_QUEUE_BACKEND) -> None:
         self.now: float = 0.0
-        self.queue_backend = resolve_queue_backend(queue_backend)
         self._queue = make_queue(queue_backend)
         self._running = False
         self._stopped = False
@@ -148,9 +147,8 @@ class Simulator:
 
         When ``until`` is given, the clock is left exactly at ``until`` even
         if the queue drained earlier, so repeated ``run(until=...)`` calls
-        advance time monotonically. Events sharing a timestamp are fired
-        as a batch by the queue's ``drain`` hook, which also maintains
-        ``now`` and ``events_processed``.
+        advance time monotonically. The queue's ``drain`` hook fires the
+        due events and maintains ``now`` and ``events_processed``.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -171,9 +169,9 @@ class Simulator:
         Kept separate so the unprofiled loop carries zero instrumentation;
         this one pays two ``perf_counter`` reads per event to attribute
         wall time to callback sites (by ``__qualname__``) and to track
-        queue depth through the backend-neutral ``depth()``/``_dead``
-        surface. It pops one event at a time, which is slower than the
-        batched drain but observably identical.
+        queue depth through the engine-neutral ``depth()``/``_dead``
+        surface. It pops one event at a time through ``pop_due``, which is
+        observably identical to ``drain``.
         """
         profile = self.profile
         assert profile is not None

@@ -34,16 +34,17 @@ def test_queue_backend_internal_access_flagged():
 
 
 def test_queue_internal_names_on_other_receivers_allowed():
-    # A rate limiter's own `self._buckets` is not queue state; only
-    # queue-shaped receivers are flagged for the backend-internal names.
+    # A rate limiter's own `self._seq` is not queue state; only
+    # queue-shaped receivers are flagged for the engine-internal names.
     findings = lint(
         """
         class RateLimiter:
             def __init__(self):
-                self._buckets = {}
+                self._seq = 0
 
-            def observe(self, prefix):
-                return self._buckets.get(prefix)
+            def observe(self):
+                self._seq += 1
+                return self._seq
         """
     )
     assert findings == []

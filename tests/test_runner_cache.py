@@ -27,6 +27,21 @@ def test_code_fingerprint_stable_within_process():
     assert len(code_fingerprint()) == 16
 
 
+def test_source_digest_covers_c_sources(tmp_path):
+    # The compiled event kernel's C source decides results as much as the
+    # Python tree does: editing it must change the fingerprint.
+    (tmp_path / "events.py").write_text("X = 1\n")
+    kernel = tmp_path / "simcore" / "_ckernel.c"
+    kernel.parent.mkdir()
+    kernel.write_text("int x = 1;\n")
+    before = cache_module.source_digest(tmp_path)
+    kernel.write_text("int x = 2;\n")
+    assert cache_module.source_digest(tmp_path) != before
+    (tmp_path / "notes.txt").write_text("not source\n")
+    kernel.write_text("int x = 1;\n")
+    assert cache_module.source_digest(tmp_path) == before
+
+
 def test_cache_key_is_stable_for_equal_requests():
     first = ddos_request(DDOS_EXPERIMENTS["A"], probe_count=100, seed=1)
     second = ddos_request(DDOS_EXPERIMENTS["A"], probe_count=100, seed=1)

@@ -1,10 +1,9 @@
-"""Unit tests for the event queue, parametrized over every backend.
+"""Unit tests for the event queue, parametrized over both engines.
 
-The queue is pluggable (binary heap reference, hierarchical timer
-wheel, calendar queue, native C kernel when built); the ordering
-contract — ``(time, seq)`` total order, FIFO within an instant, lazy
-deletion, span terminators — is identical everywhere, so each test runs
-against each available backend.
+The queue has two engines (binary heap reference, native C kernel when
+built); the ordering contract — ``(time, seq)`` total order, FIFO within
+an instant, lazy deletion, span terminators — is identical in both, so
+each test runs against each available engine.
 """
 
 import math
@@ -15,7 +14,6 @@ from repro.simcore.events import (
     DEFAULT_QUEUE_BACKEND,
     QUEUE_BACKENDS,
     Event,
-    EventQueue,
     make_queue,
     resolve_queue_backend,
 )
@@ -131,11 +129,11 @@ def test_pop_due_skips_cancelled_and_drains(queue):
 # Backend registry and stats API
 # ----------------------------------------------------------------------
 def test_backend_registry_and_resolution():
+    assert set(QUEUE_BACKENDS) <= {"heap", "native"}
     assert "heap" in QUEUE_BACKENDS
-    assert "wheel" in QUEUE_BACKENDS
-    assert "calendar" in QUEUE_BACKENDS
     assert DEFAULT_QUEUE_BACKEND == "auto"
-    assert resolve_queue_backend("auto") in QUEUE_BACKENDS
+    built = "native" if "native" in QUEUE_BACKENDS else "heap"
+    assert resolve_queue_backend(DEFAULT_QUEUE_BACKEND) == built
     assert resolve_queue_backend("heap") == "heap"
     with pytest.raises(ValueError, match="unknown queue backend"):
         resolve_queue_backend("linked-list")
@@ -154,7 +152,7 @@ def test_depth_and_stats_track_live_and_dead(queue, backend):
 
 
 # ----------------------------------------------------------------------
-# Shared edge cases (satellite: identical across backends)
+# Shared edge cases (identical across engines)
 # ----------------------------------------------------------------------
 def test_pop_due_exactly_at_limit(queue):
     # The limit is inclusive: an event *at* the limit is due, one an

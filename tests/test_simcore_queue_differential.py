@@ -1,20 +1,25 @@
-"""Cross-backend differential tests: every queue is the same queue.
+"""Cross-engine differential tests: both queues are the same queue.
 
-The heap backend is the always-correct reference; the timer wheel,
-calendar queue, and native kernel must replay any trace of operations
-with byte-identical observable behavior — the same ``(time, seq)`` fire
-sequence, the same clock, the same live/dead accounting. These tests
-replay seeded random traces against every available backend and diff
-them against the reference, then check the property end to end: a full
-experiment run and its cache key are unchanged by the backend knob
-(modulo the knob itself).
+The heap engine is the always-correct reference; the native kernel, when
+built, must replay any trace of operations with byte-identical
+observable behavior — the same ``(time, seq)`` fire sequence, the same
+clock, the same live/dead accounting. These tests replay seeded random
+traces against it and diff them against the reference, then check the
+property end to end: a full experiment run is unchanged by which engine
+the build selected.
 """
 
 import random
 
 import pytest
 
-from repro.simcore.events import QUEUE_BACKENDS, make_queue
+from repro.simcore import simulator as simulator_module
+from repro.simcore.events import (
+    DEFAULT_QUEUE_BACKEND,
+    QUEUE_BACKENDS,
+    make_queue,
+    resolve_queue_backend,
+)
 from repro.simcore.simulator import Simulator
 
 BACKENDS = sorted(QUEUE_BACKENDS)
@@ -30,7 +35,8 @@ def _replay_queue_trace(backend: str, seed: int):
     Times never go below the latest popped time (the simulator clock is
     monotone, and ``Simulator.at`` enforces it), but pushes *at* already
     -served instants are generated on purpose — that is the zero-delay
-    reschedule shape the wheel's active-slot merge must order correctly.
+    reschedule shape that must still fire after everything already queued
+    at that instant.
     """
     rng = random.Random(seed)
     queue = make_queue(backend)
@@ -81,7 +87,7 @@ def test_queue_trace_matches_heap_reference(backend, seed):
 
 
 # ----------------------------------------------------------------------
-# Simulator drain path: batched dispatch vs reference stepping
+# Simulator drain path: each engine's run loop vs the reference
 # ----------------------------------------------------------------------
 def _replay_sim_trace(backend: str, seed: int):
     """A seeded timer workload driven through ``run(until)`` segments.
@@ -131,15 +137,31 @@ def test_sim_trace_matches_heap_reference(backend, seed):
 
 
 # ----------------------------------------------------------------------
-# End to end: experiment results and cache keys
+# End to end: experiment results
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ALTERNATES)
-def test_ddos_run_identical_across_backends(backend):
+def _run_g(monkeypatch, backend):
+    """Experiment G with every simulator built on ``backend``.
+
+    Experiments take no engine option, so this swaps the kernel's queue
+    factory — the only selection seam there is.
+    """
     from repro.core.experiments.ddos import DDOS_EXPERIMENTS, run_ddos
 
-    spec = DDOS_EXPERIMENTS["G"]
-    reference = run_ddos(spec, probe_count=10, seed=5, queue_backend="heap")
-    candidate = run_ddos(spec, probe_count=10, seed=5, queue_backend=backend)
+    monkeypatch.setattr(
+        simulator_module, "make_queue", lambda _name: make_queue(backend)
+    )
+    result = run_ddos(DDOS_EXPERIMENTS["G"], probe_count=10, seed=5)
+    monkeypatch.undo()
+    return result
+
+
+def test_ddos_run_identical_across_backends(monkeypatch):
+    # Heap reference vs whichever engine this build runs by default
+    # (native when built; otherwise this pins heap run-to-run identity).
+    reference = _run_g(monkeypatch, "heap")
+    candidate = _run_g(
+        monkeypatch, resolve_queue_backend(DEFAULT_QUEUE_BACKEND)
+    )
     assert [
         (answer.probe_id, answer.status, answer.sent_at, answer.answered_at)
         for answer in reference.answers
@@ -148,19 +170,3 @@ def test_ddos_run_identical_across_backends(backend):
         for answer in candidate.answers
     ]
     assert reference.outcomes_by_round() == candidate.outcomes_by_round()
-
-
-def test_cache_key_depends_only_on_requested_backend():
-    from repro.core.experiments.ddos import DDOS_EXPERIMENTS
-    from repro.runner.cache import cache_key
-    from repro.runner.executor import ddos_request
-
-    spec = DDOS_EXPERIMENTS["G"]
-    default = ddos_request(spec, probe_count=10, seed=5)
-    same = ddos_request(spec, probe_count=10, seed=5, queue_backend="auto")
-    explicit = ddos_request(spec, probe_count=10, seed=5, queue_backend="heap")
-    # "auto" keys as the requested name, not the machine-dependent
-    # resolution — the same request hits the same cache entry whether or
-    # not the native kernel is built there.
-    assert cache_key(default) == cache_key(same)
-    assert cache_key(default) != cache_key(explicit)
