@@ -37,11 +37,7 @@ def main() -> None:
     streams = RandomStreams(2024)
     attacks = AttackSchedule()
     network = Network(
-        sim,
-        streams,
-        latency=PerHostLatency(jitter=0.2),
-        attacks=attacks,
-        wire_format=True,  # every packet round-trips the RFC 1035 codec
+        sim, streams, latency=PerHostLatency(jitter=0.2), attacks=attacks
     )
 
     # Zone tree: root -> nl -> example.nl with a 5-minute TTL.

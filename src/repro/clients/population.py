@@ -383,11 +383,9 @@ def build_population(
             metrics=metrics,
         )
         pools.append(pool)
-        registry.register_public_ingress(ingress, spec.key, spec.google_like)
+        registry.register_public_ingress(ingress, spec.google_like)
         for backend_address in backends:
-            registry.register_public_backend(
-                backend_address, spec.key, spec.google_like
-            )
+            registry.register_public_backend(backend_address, spec.google_like)
         public_choices.append((ingress, spec.vp_share))
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ from typing import List, Sequence
 
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRType
-from repro.resolvers.stub import StubAnswer, StubResolver
+from repro.resolvers.stub import StubResolver
 
 
 class Probe:
@@ -38,9 +38,6 @@ class Probe:
 
     def query_round(self, round_index: int, qtype: RRType = RRType.AAAA) -> None:
         self.stub.query_round(self.qname, qtype, round_index)
-
-    def results(self) -> List[StubAnswer]:
-        return self.stub.results
 
     def __repr__(self) -> str:
         return f"<Probe {self.probe_id} vps={self.vp_count}>"

@@ -86,22 +86,19 @@ class ResolverRegistry:
         self._public_ingress: Set[str] = set()
         self._google_addresses: Set[str] = set()
         self._public_backends: Set[str] = set()
-        self._service_of: Dict[str, str] = {}
         self._kind_of: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Registration (population builder calls these)
     # ------------------------------------------------------------------
-    def register_public_ingress(self, address: str, service: str, google: bool) -> None:
+    def register_public_ingress(self, address: str, google: bool) -> None:
         self._public_ingress.add(address)
-        self._service_of[address] = service
         self._kind_of[address] = "public"
         if google:
             self._google_addresses.add(address)
 
-    def register_public_backend(self, address: str, service: str, google: bool) -> None:
+    def register_public_backend(self, address: str, google: bool) -> None:
         self._public_backends.add(address)
-        self._service_of[address] = service
         self._kind_of[address] = "public-backend"
         if google:
             self._google_addresses.add(address)
@@ -125,9 +122,6 @@ class ResolverRegistry:
 
     def is_google(self, address: str) -> bool:
         return address in self._google_addresses
-
-    def service_of(self, address: str) -> Optional[str]:
-        return self._service_of.get(address)
 
     def kind_of(self, address: str) -> Optional[str]:
         return self._kind_of.get(address)

@@ -141,7 +141,6 @@ def run_baseline(
     probe_count: int = 1500,
     seed: int = 42,
     population: Optional[PopulationConfig] = None,
-    wire_format: bool = False,
     obs: Optional[ObsSpec] = None,
 ) -> BaselineResult:
     """Run one baseline experiment end to end."""
@@ -151,7 +150,6 @@ def run_baseline(
             seed=seed,
             zone_ttl=spec.ttl,
             population=population_config,
-            wire_format=wire_format,
             obs=obs,
         )
     )

@@ -193,7 +193,6 @@ def run_ddos(
     probe_count: int = 1500,
     seed: int = 42,
     population: Optional[PopulationConfig] = None,
-    wire_format: bool = False,
     obs: Optional[ObsSpec] = None,
     attack_load=None,
     defense=None,
@@ -224,7 +223,6 @@ def run_ddos(
             seed=seed,
             zone_ttl=spec.ttl,
             population=population_config,
-            wire_format=wire_format,
             obs=obs,
             attack_load=attack_load,
             defense=defense,

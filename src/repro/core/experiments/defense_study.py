@@ -130,25 +130,6 @@ class DefenseStudyResult:
     def intensities(self) -> List[float]:
         return sorted({cell.intensity for cell in self.cells})
 
-    def reliability_grid(self) -> List[List[float]]:
-        """Rows = defense layers (in added order), columns = intensity.
-        Cells lost to failed runs (``keep_going``) are NaN."""
-        grid: List[List[float]] = []
-        for layers in self.layer_rows():
-            row: List[float] = []
-            for intensity in self.intensities():
-                cell = self._cell_or_none(layers, intensity)
-                row.append(cell.reliability if cell else float("nan"))
-            grid.append(row)
-        return grid
-
-    def marginal_benefit(self, layers: str, intensity: float) -> float:
-        """Reliability gained over ``capacity-only`` at this intensity."""
-        return (
-            self.cell(layers, intensity).reliability
-            - self.cell("capacity-only", intensity).reliability
-        )
-
     def render(self) -> str:
         """Plain-text grid for the CLI."""
         intensities = self.intensities()

@@ -57,20 +57,6 @@ class Table7Row:
     top2_queries: Tuple[int, int]
     during_attack: bool
 
-    def as_tuple(self) -> tuple:
-        return (
-            self.interval,
-            self.client_queries,
-            self.client_answers,
-            self.client_r1_count,
-            self.auth_queries,
-            self.auth_answers,
-            self.at_count,
-            self.rn_count,
-            self.rn_at_pairs,
-            self.top2_queries,
-        )
-
 
 @dataclass
 class ProbeCaseResult:

@@ -100,16 +100,6 @@ class LatencyQuantiles:
     p75_ms: float
     p90_ms: float
 
-    def as_row(self) -> Tuple[int, int, float, float, float, float]:
-        return (
-            self.round_index,
-            self.count,
-            self.median_ms,
-            self.mean_ms,
-            self.p75_ms,
-            self.p90_ms,
-        )
-
 
 def latency_by_round(
     answers: Iterable[StubAnswer],

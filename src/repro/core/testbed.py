@@ -69,7 +69,6 @@ class TestbedConfig:
     # Baseline packet loss: produces the pre-attack ~5% failure floor the
     # paper observes before any DDoS (§5.4).
     baseline_loss: float = 0.004
-    wire_format: bool = False
     population: PopulationConfig = field(default_factory=PopulationConfig)
     # Observability layers (tracing / metrics / profiling); None = all off.
     obs: Optional[ObsSpec] = None
@@ -103,7 +102,6 @@ class Testbed:
             latency=self.latency,
             attacks=self.attacks,
             baseline_loss=config.baseline_loss,
-            wire_format=config.wire_format,
             tracer=tracer,
         )
         self.rotation = RotationSchedule(

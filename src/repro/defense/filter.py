@@ -38,9 +38,6 @@ class SourceFilter:
         which addresses the attack load minted, including spoof pools)."""
         self._attackers.update(sources)
 
-    def is_attacker(self, source: str) -> bool:
-        return source in self._attackers
-
     def blocked(self, source: str) -> bool:
         verdict = self._verdicts.get(source)
         if verdict is None:

@@ -284,9 +284,6 @@ class RRset:
     def ttl(self) -> int:
         return min(record.ttl for record in self.records)
 
-    def rdatas(self) -> List[Rdata]:
-        return [record.rdata for record in self.records]
-
     def with_ttl(self, ttl: int) -> "RRset":
         return RRset([record.with_ttl(ttl) for record in self.records])
 

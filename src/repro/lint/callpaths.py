@@ -3,7 +3,7 @@
 A function is *on the callback path* when the simulator can invoke it
 from the event loop: it is passed to a scheduling/registration call
 (``sim.call_later``, ``sim.at``, ``queue.push``, ``network.register``,
-``network.register_tap``, ``signal.add_waiter``), or it is (by name) an
+``network.register_tap``), or it is (by name) an
 override of a method so registered anywhere in the tree, or it is
 reachable from such a function through same-module calls
 (``self.helper()`` / ``helper()``).
@@ -30,7 +30,6 @@ REGISTRARS: Dict[str, int] = {
     "push": 1,
     "register": 1,
     "register_tap": 1,
-    "add_waiter": 0,
 }
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]

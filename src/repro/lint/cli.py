@@ -39,7 +39,7 @@ def default_baseline_path() -> pathlib.Path:
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared between the ``repro lint`` subcommand and the shim."""
+    """Shared between the ``repro lint`` subcommand and :func:`main`."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -220,8 +220,7 @@ def run_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (used by the ``scripts/lint_slots.py`` shim
-    and handy for ``python -m repro.lint.cli``)."""
+    """Standalone entry point (``python -m repro.lint.cli``)."""
     parser = argparse.ArgumentParser(
         prog="repro lint", description=__doc__.splitlines()[0]
     )

@@ -77,10 +77,6 @@ class LintContext:
         self.files = list(files)
         self.findings: List[Finding] = []
         self.suppressed_count = 0
-        self._by_rel = {file.rel: file for file in self.files}
-
-    def file(self, rel: str) -> Optional[SourceFile]:
-        return self._by_rel.get(rel)
 
     def files_matching(self, suffix: str) -> List[SourceFile]:
         return [file for file in self.files if file.rel.endswith(suffix)]

@@ -2,9 +2,10 @@
 
 Every registered address owns a receive handler. :meth:`Network.send`
 applies baseline loss, the attack schedule's inbound loss at the
-destination, resolves anycast catchments, optionally round-trips the
-message through the RFC 1035 wire codec, and schedules delivery after the
-latency model's one-way delay.
+destination, resolves anycast catchments, and schedules delivery after
+the latency model's one-way delay. Messages travel as objects; the RFC
+1035 codec (:mod:`repro.dnscore.wire`) sizes responses for truncation
+but is not run per packet.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import zlib
 from typing import Callable, Dict, List, Optional
 
 from repro.dnscore.message import Message
-from repro.dnscore.wire import from_wire, to_wire
 from repro.netem.attack import AttackSchedule
 from repro.netem.link import ConstantLatency, LatencyModel
 from repro.simcore.rng import RandomStreams
@@ -78,7 +78,6 @@ class Network:
         latency: Optional[LatencyModel] = None,
         attacks: Optional[AttackSchedule] = None,
         baseline_loss: float = 0.0,
-        wire_format: bool = False,
         tracer=None,
     ) -> None:
         if not 0.0 <= baseline_loss < 1.0:
@@ -88,7 +87,6 @@ class Network:
         self.latency = latency or ConstantLatency()
         self.attacks = attacks or AttackSchedule()
         self.baseline_loss = baseline_loss
-        self.wire_format = wire_format
         self.counters = NetworkCounters()
         self._handlers: Dict[str, ReceiveHandler] = {}
         self._anycast: Dict[str, List[str]] = {}
@@ -118,9 +116,6 @@ class Network:
             if instance not in self._handlers:
                 raise ValueError(f"anycast instance {instance} not registered")
         self._anycast[address] = list(instances)
-
-    def is_registered(self, address: str) -> bool:
-        return address in self._handlers or address in self._anycast
 
     def update_anycast(self, address: str, instances: List[str]) -> None:
         """Change an anycast group's live instances (route withdrawal /
@@ -227,14 +222,7 @@ class Network:
         if queue_mean > 0:
             delay += self._latency_rng.expovariate(1.0 / queue_mean)
 
-        payload = message
-        if self.wire_format:
-            payload = from_wire(to_wire(message))
-            # The trace id is simulation metadata, not wire data; carry it
-            # across the codec round-trip so traced lifecycles survive
-            # wire-format runs.
-            payload.trace_id = message.trace_id
-        packet = Packet(src, dst, payload, self.sim.now, transport)
+        packet = Packet(src, dst, message, self.sim.now, transport)
         self.sim.call_later(delay, self._deliver, handler, packet)
         return True
 

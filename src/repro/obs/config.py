@@ -32,12 +32,6 @@ class ObsSpec:
     # every other field.
     timeline: Optional[TimelineSpec] = None
 
-    @property
-    def enabled(self) -> bool:
-        return self.trace or self.metrics or self.profile or (
-            self.timeline is not None
-        )
-
 
 class Observability:
     """Live observability plumbing for one testbed."""

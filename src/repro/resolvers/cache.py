@@ -130,9 +130,6 @@ class DnsCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def remove(self, name: Name, rtype: RRType) -> None:
-        self._entries.pop((name, rtype), None)
-
     def flush(self) -> None:
         """Drop everything (restart / operator flush)."""
         self._entries.clear()

@@ -1,13 +1,13 @@
 """Persistent, content-addressed result cache.
 
 Every experiment run is a pure function of its request — spec fields,
-population size/shape, seed, wire format — and of the simulator code
-itself. The cache key is a SHA-256 over a canonical JSON encoding of the
-request plus :func:`code_fingerprint`, a digest of every ``.py`` file in
-the ``repro`` package. Editing any source file therefore invalidates the
-whole cache (conservative but sound: a kernel tweak can shift every
-derived number), while re-running the same battery across sessions is a
-pure disk read.
+population size/shape, seed, attack load, defenses — and of the
+simulator code itself. The cache key is a SHA-256 over a canonical JSON
+encoding of the request plus :func:`code_fingerprint`, a digest of every
+source file (``.py`` and the C kernel's ``.c``) in the ``repro``
+package. Editing any source file therefore invalidates the whole cache
+(conservative but sound: a kernel tweak can shift every derived number),
+while re-running the same battery across sessions is a pure disk read.
 
 Entries are pickles written atomically (temp file + rename) so a killed
 run never leaves a truncated entry behind; unreadable entries are treated

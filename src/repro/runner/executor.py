@@ -92,7 +92,6 @@ class RunRequest:
     spec: Any = None
     probe_count: int = 400
     seed: int = 42
-    wire_format: bool = False
     population: Optional[PopulationConfig] = None
     # Runner-specific keyword arguments as a sorted tuple of pairs, so
     # requests stay hashable and canonically serializable for cache keys.
@@ -116,7 +115,6 @@ def ddos_request(
     probe_count: int = 400,
     seed: int = 42,
     population: Optional[PopulationConfig] = None,
-    wire_format: bool = False,
     obs: Optional[ObsSpec] = None,
     attack_load: Optional[AttackLoadSpec] = None,
     defense: Optional[DefenseSpec] = None,
@@ -126,7 +124,6 @@ def ddos_request(
         spec,
         probe_count,
         seed,
-        wire_format,
         population,
         obs=obs,
         attack_load=attack_load,
@@ -139,7 +136,6 @@ def baseline_request(
     probe_count: int = 600,
     seed: int = 42,
     population: Optional[PopulationConfig] = None,
-    wire_format: bool = False,
     obs: Optional[ObsSpec] = None,
 ) -> RunRequest:
     return RunRequest(
@@ -147,7 +143,6 @@ def baseline_request(
         spec,
         probe_count,
         seed,
-        wire_format,
         population,
         obs=obs,
     )
@@ -247,7 +242,6 @@ def execute_request(request: RunRequest) -> Any:
             probe_count=request.probe_count,
             seed=request.seed,
             population=request.population,
-            wire_format=request.wire_format,
             obs=request.obs,
             attack_load=request.attack_load,
             defense=request.defense,
@@ -258,7 +252,6 @@ def execute_request(request: RunRequest) -> Any:
             probe_count=request.probe_count,
             seed=request.seed,
             population=request.population,
-            wire_format=request.wire_format,
             obs=request.obs,
         )
     elif kind == KIND_GLUE:

@@ -3,14 +3,11 @@
 from repro.servers.authoritative import AuthoritativeServer
 from repro.servers.hierarchy import ZoneSpec, build_hierarchy
 from repro.servers.querylog import QueryLog, QueryLogEntry
-from repro.servers.secondary import SecondaryAuthoritativeServer, ZoneReplica
 
 __all__ = [
     "AuthoritativeServer",
     "QueryLog",
     "QueryLogEntry",
-    "SecondaryAuthoritativeServer",
-    "ZoneReplica",
     "ZoneSpec",
     "build_hierarchy",
 ]

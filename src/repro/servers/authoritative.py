@@ -72,9 +72,6 @@ class AuthoritativeServer(Host):
                 best = zone
         return best
 
-    def add_zone(self, zone: Zone) -> None:
-        self.zones.append(zone)
-
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------

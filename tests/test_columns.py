@@ -222,7 +222,7 @@ def _ac_answer(probe_id: int, resolver: str, sent_at: float) -> ClassifiedAnswer
 def test_miss_attribution_reads_every_spelling_of_the_probe_name():
     registry = ResolverRegistry()
     google = "172.217.0.1"
-    registry.register_public_backend(google, "google", google=True)
+    registry.register_public_backend(google, google=True)
     log = QueryLog()
     # Probe 1's miss was carried by a Google Rn under a mixed-case
     # spelling; probe 2's by a non-public Rn; probe 17's query falls

@@ -178,8 +178,8 @@ def test_miss_rate_denominator_excludes_warmup():
 
 def test_miss_attribution_by_registry():
     registry = ResolverRegistry()
-    registry.register_public_ingress("8.8.8.8", "google", google=True)
-    registry.register_public_ingress("9.9.9.9", "quad9", google=False)
+    registry.register_public_ingress("8.8.8.8", google=True)
+    registry.register_public_ingress("9.9.9.9", google=False)
     registry.register_recursive("100.64.0.1", "isp")
     answers = []
     for resolver in ("8.8.8.8", "9.9.9.9", "100.64.0.1"):

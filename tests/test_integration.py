@@ -5,6 +5,7 @@ import pytest
 from repro.dnscore.name import Name
 from repro.dnscore.records import CNAME, A
 from repro.dnscore.rrtypes import RRType
+from repro.dnscore.wire import from_wire, to_wire
 from repro.netem.attack import AttackWindow
 from repro.resolvers.recursive import Outcome, RecursiveResolver, ResolverConfig
 from repro.resolvers.stub import StubAnswer, StubResolver
@@ -68,9 +69,17 @@ def test_anycast_authoritative_service(world):
     assert inst1.queries_received + inst2.queries_received > 0
 
 
-def test_wire_format_end_to_end(world):
-    # Same resolution with full RFC 1035 serialization on every packet.
-    world.network.wire_format = True
+def test_wire_format_end_to_end(world, monkeypatch):
+    # Same resolution with full RFC 1035 serialization on every packet:
+    # each message is re-decoded from its wire bytes before it is sent.
+    send = world.network.send
+
+    def send_decoded(src, dst, message, transport="udp"):
+        decoded = from_wire(to_wire(message))
+        decoded.trace_id = message.trace_id  # simulation metadata
+        return send(src, dst, decoded, transport)
+
+    monkeypatch.setattr(world.network, "send", send_decoded)
     resolver = RecursiveResolver(
         world.sim, world.network, "100.64.0.1", world.root_hints,
         config=ResolverConfig(),
