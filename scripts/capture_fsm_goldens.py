@@ -111,6 +111,45 @@ def capture_glue() -> dict:
     }
 
 
+def capture_probe_case() -> dict:
+    from dataclasses import asdict
+
+    from repro.core.experiments import run_probe_case
+
+    result = run_probe_case(seed=11)
+    return {"rows": [asdict(row) for row in result.rows]}
+
+
+def capture_cache_dump() -> dict:
+    from repro.core.experiments import run_cache_dump_study
+
+    cells = {}
+    for software in ("bind", "unbound"):
+        result = run_cache_dump_study(software)
+        cells[software] = {
+            "ns_cached_ttl": result.ns_cached_ttl,
+            "dump": [list(row) for row in result.dump],
+        }
+    return cells
+
+
+def capture_anycast(probes: int = 120) -> dict:
+    from repro.core.experiments import AnycastSpec, run_anycast_study
+
+    cells = {}
+    for label, spec in (
+        ("plain", AnycastSpec()),
+        ("withdraw20", AnycastSpec(withdraw_after_min=20)),
+    ):
+        result = run_anycast_study(spec, probe_count=probes)
+        cells[label] = {
+            "attacked": answers_digest(result.answers_attacked_catchment),
+            "healthy": answers_digest(result.answers_healthy_catchment),
+            "indirect": answers_digest(result.answers_indirect),
+        }
+    return cells
+
+
 def capture() -> dict:
     return {
         "ddos_H_p24_s42": capture_ddos("H", probes=24, seed=42),
@@ -119,6 +158,9 @@ def capture() -> dict:
         "baseline_3600_p24_s42": capture_baseline("3600", probes=24, seed=42),
         "software": capture_software(),
         "glue": capture_glue(),
+        "probe_case_s11": capture_probe_case(),
+        "cache_dump": capture_cache_dump(),
+        "anycast_p120": capture_anycast(),
     }
 
 

@@ -69,3 +69,21 @@ def test_software_study_byte_identical(capture_module, golden):
 def test_glue_experiment_byte_identical(capture_module, golden):
     replay = canonical(capture_module.capture_glue())
     assert replay == golden["glue"]
+
+
+def test_probe_case_byte_identical(capture_module, golden):
+    """Appendix F's Table 7 rows on the hand-built single-probe chain."""
+    replay = canonical(capture_module.capture_probe_case())
+    assert replay == golden["probe_case_s11"]
+
+
+def test_cache_dump_byte_identical(capture_module, golden):
+    """§A.3 cache dumps for both software personalities."""
+    replay = canonical(capture_module.capture_cache_dump())
+    assert replay == golden["cache_dump"]
+
+
+def test_anycast_study_byte_identical(capture_module, golden):
+    """Per-catchment answer streams, with and without route withdrawal."""
+    replay = canonical(capture_module.capture_anycast())
+    assert replay == golden["anycast_p120"]
