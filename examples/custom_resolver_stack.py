@@ -1,47 +1,35 @@
 #!/usr/bin/env python3
 """Build a custom DNS world with the library's low-level API.
 
-Everything the experiment runners assemble can be wired by hand: a zone
-tree, authoritative servers, a serve-stale recursive, a home-router
-forwarder, and a stub. This example constructs a small deployment,
-kills the authoritatives mid-run, and shows serve-stale answering with
-TTL 0 (the behavior the paper caught Google/OpenDNS experimenting with,
-§5.3, now RFC 8767).
+Everything the experiment runners assemble can be wired from parts: a
+``World`` (zone tree, authoritative servers, network, attack schedule),
+then a serve-stale recursive, a home-router forwarder, and a stub. This
+example constructs a small deployment, kills the authoritatives mid-run,
+and shows serve-stale answering with TTL 0 (the behavior the paper
+caught Google/OpenDNS experimenting with, §5.3, now RFC 8767).
 
 Run:  python examples/custom_resolver_stack.py
 """
 
 from repro import (
     AttackWindow,
-    AuthoritativeServer,
-    Name,
-    Network,
     RecursiveResolver,
     ResolverConfig,
     RRType,
-    Simulator,
     StubResolver,
+    World,
     ZoneSpec,
-    build_hierarchy,
 )
-from repro.netem.attack import AttackSchedule
 from repro.netem.link import PerHostLatency
 from repro.resolvers.cache import CacheConfig
 from repro.resolvers.forwarder import ForwardingResolver
-from repro.servers.hierarchy import PROBE_ANSWER_PREFIX, attach_probe_synthesizer
-from repro.simcore.rng import RandomStreams
 
 
 def main() -> None:
-    sim = Simulator()
-    streams = RandomStreams(2024)
-    attacks = AttackSchedule()
-    network = Network(
-        sim, streams, latency=PerHostLatency(jitter=0.2), attacks=attacks
-    )
-
-    # Zone tree: root -> nl -> example.nl with a 5-minute TTL.
-    zones = build_hierarchy(
+    # Zone tree: root -> nl -> example.nl with a 5-minute TTL, each
+    # nameserver address backed by an authoritative server.
+    world = World(
+        2024,
         [
             ZoneSpec(".", {"a.root-servers.test.": "193.0.0.1"}),
             ZoneSpec("nl.", {"ns1.dns.nl.": "193.0.1.1"}),
@@ -52,21 +40,16 @@ def main() -> None:
                 a_ttl=300,
                 negative_ttl=60,
             ),
-        ]
+        ],
+        PerHostLatency(jitter=0.2),
     )
-    example = zones[Name.from_text("example.nl.")]
-    attach_probe_synthesizer(example, PROBE_ANSWER_PREFIX, 300)
-
-    AuthoritativeServer(sim, network, "193.0.0.1", [zones[Name.from_text(".")]], name="root")
-    AuthoritativeServer(sim, network, "193.0.1.1", [zones[Name.from_text("nl.")]], name="nl")
-    AuthoritativeServer(sim, network, "192.0.2.1", [example], name="ns1")
-    AuthoritativeServer(sim, network, "192.0.2.2", [example], name="ns2")
+    sim, network = world.sim, world.network
 
     # A serve-stale recursive (RFC 8767 style) ...
     config = ResolverConfig(cache=CacheConfig(stale_window=3600.0))
     config.serve_stale = True
     recursive = RecursiveResolver(
-        sim, network, "100.64.0.1", ["193.0.0.1"], config=config, name="rn"
+        sim, network, "100.64.0.1", world.root_hints, config=config, name="rn"
     )
     # ... behind a caching home-router forwarder.
     forwarder = ForwardingResolver(
@@ -74,12 +57,13 @@ def main() -> None:
     )
     stub = StubResolver(sim, network, "10.0.0.1", 99, [forwarder.address])
 
-    qname = Name.from_text("99.example.nl.")
+    qname = world.origin.child("99")
 
     # Timeline: query at t=10 (warm), authoritatives die at t=60,
     # query again at t=120 (cache still fresh), t=400 (expired -> stale).
     sim.at(10.0, stub.query_round, qname, RRType.AAAA, 0)
-    sim.at(60.0, attacks.add, AttackWindow(["192.0.2.1", "192.0.2.2"], 60.0, 10_000.0, 1.0))
+    targets = [server.address for server in world.test_servers]
+    sim.at(60.0, world.attacks.add, AttackWindow(targets, 60.0, 10_000.0, 1.0))
     sim.at(120.0, stub.query_round, qname, RRType.AAAA, 1)
     sim.at(400.0, stub.query_round, qname, RRType.AAAA, 2)
     sim.run(until=500.0)

@@ -33,6 +33,7 @@ from repro.core import (
     RotationSchedule,
     Testbed,
     TestbedConfig,
+    World,
     classify_answers,
     classify_misses_by_resolver,
 )
@@ -125,6 +126,7 @@ __all__ = [
     "Testbed",
     "TestbedConfig",
     "Tracer",
+    "World",
     "Zone",
     "ZoneSpec",
     "baseline_request",

@@ -34,6 +34,7 @@ from repro.dnscore.records import NS, A, ResourceRecord
 from repro.dnscore.rrtypes import Rcode, RRType
 from repro.netem.topology import Host
 from repro.netem.transport import Network, Packet
+from repro.servers.hierarchy import TLD_ORIGIN
 from repro.simcore.simulator import Simulator
 from repro.workloads.attacknames import (
     nxns_target_names,
@@ -230,7 +231,7 @@ def build_attack_load(testbed) -> AttackLoad:
             attackers.append(Attacker(sim, network, spec, rng, stats, emit))
     elif spec.mode == MODE_NXNS:
         ingresses = _open_resolver_ingresses(testbed)
-        apex = Name.from_text(f"evil-attack.{testbed.config.tld_origin}")
+        apex = Name.from_text(f"evil-attack.{TLD_ORIGIN}")
         nxns_server = _wire_nxns_zone(testbed, apex, spec, rng, stats)
         for address in attacker_addresses:
             emit = _subdomain_emit(address, ingresses, apex)
@@ -304,7 +305,7 @@ def _wire_nxns_zone(
         stats,
     )
     ns_host = Name(("ns1",) + apex.labels)
-    tld = Name.from_text(testbed.config.tld_origin)
+    tld = Name.from_text(TLD_ORIGIN)
     tld_zone = testbed.zones[tld]
     delegation_ttl = 3600
     tld_zone.add(apex, delegation_ttl, NS(ns_host))

@@ -38,7 +38,7 @@ from repro.resolvers.cache import CacheConfig
 from repro.resolvers.forwarder import ForwarderConfig, ForwardingResolver
 from repro.resolvers.pool import PoolConfig, PublicResolverPool
 from repro.resolvers.recursive import RecursiveResolver, ResolverConfig
-from repro.resolvers.retry import bind_profile, forwarder_profile, unbound_profile
+from repro.resolvers.retry import forwarder_profile
 from repro.resolvers.stub import StubAnswer, StubResolver
 from repro.simcore.rng import RandomStreams
 from repro.simcore.simulator import Simulator
@@ -250,17 +250,12 @@ def build_population(
 
     def make_resolver_config(public_backend_of: Optional[PublicServiceSpec]) -> ResolverConfig:
         """Draw one full-resolver personality."""
-        cache = CacheConfig()
-        resolver_config = ResolverConfig(cache=cache)
         if rng.random() < config.unbound_fraction:
-            resolver_config.retry = unbound_profile()
-            resolver_config.chase_ns_aaaa = True
-            resolver_config.requery_delegation = True
-            cache.max_ttl = 86400
+            resolver_config = ResolverConfig.for_software("unbound")
         else:
-            resolver_config.retry = bind_profile()
+            resolver_config = ResolverConfig.for_software("bind")
             resolver_config.chase_ns_aaaa = rng.random() < 0.5
-            cache.max_ttl = 7 * 86400
+        cache = resolver_config.cache
         # Some resolvers give up quickly and SERVFAIL inside the stub's
         # 5 s window; most keep retrying past it (the "no answer" VPs).
         if rng.random() < 0.25:

@@ -5,8 +5,9 @@
   and the public-resolver attribution of cache misses (§3.5).
 * :mod:`~repro.core.metrics` — client-experience and authoritative-side
   aggregations behind every figure.
-* :mod:`~repro.core.testbed` — assembles a complete measurement world
-  (zone tree, authoritatives, population, attack schedule, zone rotation).
+* :mod:`~repro.core.testbed` — assembles the measurement worlds: the
+  shared :class:`World` (zone tree, authoritatives, attack schedule,
+  zone rotation) and the population :class:`Testbed` on top of it.
 * :mod:`~repro.core.experiments` — one runner per paper experiment.
 """
 
@@ -24,7 +25,7 @@ from repro.core.metrics import (
     responses_by_round,
     round_index_of,
 )
-from repro.core.testbed import Testbed, TestbedConfig
+from repro.core.testbed import Testbed, TestbedConfig, World
 
 __all__ = [
     "AnswerClass",
@@ -34,6 +35,7 @@ __all__ = [
     "RotationSchedule",
     "Testbed",
     "TestbedConfig",
+    "World",
     "classify_answers",
     "classify_misses_by_resolver",
     "latency_by_round",

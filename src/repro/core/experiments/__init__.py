@@ -47,21 +47,15 @@ from repro.core.experiments.anycast_study import (
     AnycastSpec,
     run_anycast_study,
 )
-from repro.core.experiments.selection_study import (
-    SelectionResult,
-    run_selection_study,
-)
 from repro.core.experiments.software import SoftwareResult, run_software_study
 from repro.core.experiments.sweep import SweepPoint, SweepResult, run_sweep
 
 __all__ = [
     "AnycastResult",
     "AnycastSpec",
-    "SelectionResult",
     "SweepPoint",
     "SweepResult",
     "run_anycast_study",
-    "run_selection_study",
     "run_sweep",
     "BASELINE_EXPERIMENTS",
     "BaselineResult",

@@ -25,22 +25,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.clients.population import PopulationConfig, build_population
 from repro.core.metrics import failure_fraction, responses_by_round
-from repro.dnscore.name import Name
+from repro.core.testbed import BASELINE_LOSS, NEGATIVE_TTL, World
 from repro.netem.address import default_allocator
-from repro.netem.attack import AttackSchedule, AttackWindow
-from repro.netem.link import PerHostLatency, draw_authoritative_base
-from repro.netem.transport import Network
+from repro.netem.attack import AttackWindow
+from repro.netem.link import PerHostLatency
 from repro.resolvers.stub import StubAnswer
-from repro.servers.authoritative import AuthoritativeServer
-from repro.servers.hierarchy import (
-    PROBE_ANSWER_PREFIX,
-    ZoneSpec,
-    attach_probe_synthesizer,
-    build_hierarchy,
-)
-from repro.servers.querylog import QueryLog
-from repro.simcore.rng import RandomStreams
-from repro.simcore.simulator import Simulator
+from repro.servers.hierarchy import TLD_ORIGIN, ZONE_ORIGIN, ZoneSpec
 
 
 @dataclass
@@ -110,74 +100,50 @@ def run_anycast_study(
     if not 0 < spec.attacked_sites < spec.site_count:
         raise ValueError("attacked_sites must leave at least one healthy site")
 
-    sim = Simulator()
-    streams = RandomStreams(seed)
+    # The measurement zone's single NS address is anycast over the sites.
     allocator = default_allocator()
-    latency = PerHostLatency(jitter=0.2)
-    attacks = AttackSchedule()
-    network = Network(
-        sim, streams, latency=latency, attacks=attacks, baseline_loss=0.004
-    )
-    rng = streams.stream("anycast-study")
-
-    # Zone tree: the measurement zone's single NS address is anycast.
     anycast_address = allocator.allocate("anycast")
     root_address = allocator.allocate("authoritatives")
     tld_address = allocator.allocate("authoritatives")
-    specs = [
-        ZoneSpec(".", {"a.root-servers.test.": root_address}),
-        ZoneSpec("nl.", {"ns1.dns.nl.": tld_address}),
-        ZoneSpec(
-            "cachetest.nl.",
-            {"ns1.cachetest.nl.": anycast_address},
-            ns_ttl=spec.ttl,
-            a_ttl=spec.ttl,
-            negative_ttl=60,
-        ),
+    site_addresses = [
+        allocator.allocate("authoritatives") for _ in range(spec.site_count)
     ]
-    zones = build_hierarchy(specs)
-    origin = Name.from_text("cachetest.nl.")
-    test_zone = zones[origin]
-    attach_probe_synthesizer(test_zone, PROBE_ANSWER_PREFIX, spec.ttl)
-
-    latency.set_base(root_address, draw_authoritative_base(rng))
-    latency.set_base(tld_address, draw_authoritative_base(rng))
-    AuthoritativeServer(sim, network, root_address, [zones[Name(())]], name="root")
-    AuthoritativeServer(
-        sim, network, tld_address, [zones[Name.from_text("nl.")]], name="tld"
+    latency = PerHostLatency(jitter=0.2)
+    world = World(
+        seed,
+        [
+            ZoneSpec(".", {"a.root-servers.test.": root_address}),
+            ZoneSpec(TLD_ORIGIN, {"ns1.dns.nl.": tld_address}),
+            ZoneSpec(
+                ZONE_ORIGIN,
+                {"ns1.cachetest.nl.": anycast_address},
+                ns_ttl=spec.ttl,
+                a_ttl=spec.ttl,
+                negative_ttl=NEGATIVE_TTL,
+            ),
+        ],
+        latency,
+        baseline_loss=BASELINE_LOSS,
+        base_stream="anycast-study",
+        anycast={anycast_address: site_addresses},
     )
-
-    query_log = QueryLog()
-    site_addresses: List[str] = []
-    for index in range(spec.site_count):
-        site_address = allocator.allocate("authoritatives")
-        latency.set_base(site_address, draw_authoritative_base(rng))
-        AuthoritativeServer(
-            sim,
-            network,
-            site_address,
-            [test_zone],
-            name=f"site-{index}",
-            query_log=query_log,
-        )
-        site_addresses.append(site_address)
-    network.register_anycast(anycast_address, site_addresses)
+    network = world.network
 
     attacked = site_addresses[: spec.attacked_sites]
     attack_start, attack_end = spec.attack_window
-    attacks.add(
+    world.attacks.add(
         AttackWindow(attacked, attack_start, attack_end, spec.loss_fraction)
     )
 
     population = build_population(
-        sim,
+        world.sim,
         network,
-        streams,
-        root_hints=[root_address],
+        world.streams,
+        root_hints=world.root_hints,
         config=PopulationConfig(probe_count=probe_count),
         allocator=allocator,
         latency=latency,
-        zone_origin=origin,
+        zone_origin=world.origin,
     )
 
     # Capture the pre-attack catchment of every first-hop recursive now:
@@ -193,25 +159,22 @@ def run_anycast_study(
                 )
 
     duration = spec.total_duration_min * 60.0
-    interval = spec.round_seconds
-    for step in range(1, int(duration // 600) + 1):
-        sim.at(step * 600.0, test_zone.set_serial, 1 + step)
+    world.schedule_rotations(duration)
     population.schedule_rounds(
         0.0,
-        interval,
+        spec.round_seconds,
         int(spec.total_duration_min / spec.probe_interval_min),
         300.0,
-        streams.stream("probing"),
+        world.streams.stream("probing"),
     )
     if spec.withdraw_after_min is not None:
-        healthy = site_addresses[spec.attacked_sites:]
-        sim.at(
+        world.sim.at(
             attack_start + spec.withdraw_after_min * 60.0,
             network.update_anycast,
             anycast_address,
-            healthy,
+            site_addresses[spec.attacked_sites:],
         )
-    sim.run(until=duration + 20.0)
+    world.sim.run(until=duration + 20.0)
 
     # Split VPs by the catchment of the recursive querying the anycast
     # service. The catchment belongs to the *exit* recursive, so the

@@ -213,9 +213,9 @@ def run_ddos(
     :class:`~repro.defense.DefenseSpec`) arms the measurement-zone
     authoritatives; with both None and ``loss_fraction`` > 0 this is
     exactly the paper's axiomatic-drop experiment. A spec with
-    ``loss_fraction`` 0 schedules no drop window at all — the
-    defense-study runs use that to let loss emerge from saturation
-    instead.
+    ``loss_fraction`` and ``queue_delay`` both 0 schedules no attack
+    window at all — the defense-study runs use that to let loss emerge
+    from saturation instead.
     """
     population_config = population or PopulationConfig(probe_count=probe_count)
     testbed = Testbed(
@@ -230,7 +230,7 @@ def run_ddos(
     )
     duration = spec.total_duration_min * 60.0
     attack_start, attack_end = spec.attack_window
-    if spec.loss_fraction > 0:
+    if spec.loss_fraction > 0 or spec.queue_delay > 0:
         testbed.add_attack(
             attack_start,
             attack_end - attack_start,

@@ -20,17 +20,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.clients.population import PopulationConfig
-from repro.core.testbed import Testbed, TestbedConfig
-from repro.dnscore.name import Name
+from repro.core.testbed import Testbed, TestbedConfig, World
 from repro.dnscore.rrtypes import RRType
 from repro.netem.link import PerHostLatency
-from repro.netem.transport import Network
 from repro.resolvers.recursive import Outcome, RecursiveResolver, ResolverConfig
-from repro.resolvers.retry import bind_profile, unbound_profile
-from repro.servers.authoritative import AuthoritativeServer
-from repro.servers.hierarchy import ZoneSpec, build_hierarchy
-from repro.simcore.rng import RandomStreams
-from repro.simcore.simulator import Simulator
+from repro.servers.hierarchy import ZoneSpec
 
 
 @dataclass
@@ -186,57 +180,39 @@ def run_cache_dump_study(
     the NS set at 172800 s, the child answers authoritatively at 3600 s;
     both BIND and Unbound store the child's value.
     """
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    network = Network(sim, streams, latency=PerHostLatency(jitter=0.1))
-    specs = [
-        ZoneSpec(".", {"a.root-servers.test.": "193.0.0.1"}),
-        ZoneSpec("com.", {"a.gtld-servers.test.": "193.0.1.1"}),
-        ZoneSpec(
-            "amazon.com.",
-            {
-                "ns1.amazon.com.": "192.0.2.1",
-                "ns2.amazon.com.": "192.0.2.2",
-            },
-            ns_ttl=child_ttl,
-            a_ttl=86400,
-            delegation_ttl=parent_ttl,
-        ),
-    ]
-    zones = build_hierarchy(specs)
-    AuthoritativeServer(sim, network, "193.0.0.1", [zones[Name(())]], name="root")
-    AuthoritativeServer(
-        sim, network, "193.0.1.1", [zones[Name.from_text("com.")]], name="com"
+    world = World(
+        seed,
+        [
+            ZoneSpec(".", {"a.root-servers.test.": "193.0.0.1"}),
+            ZoneSpec("com.", {"a.gtld-servers.test.": "193.0.1.1"}),
+            ZoneSpec(
+                "amazon.com.",
+                {
+                    "ns1.amazon.com.": "192.0.2.1",
+                    "ns2.amazon.com.": "192.0.2.2",
+                },
+                ns_ttl=child_ttl,
+                a_ttl=86400,
+                delegation_ttl=parent_ttl,
+            ),
+        ],
+        PerHostLatency(jitter=0.1),
     )
-    amazon = zones[Name.from_text("amazon.com.")]
-    AuthoritativeServer(sim, network, "192.0.2.1", [amazon], name="ns1")
-    AuthoritativeServer(sim, network, "192.0.2.2", [amazon], name="ns2")
-
-    config = ResolverConfig()
-    if software == "bind":
-        config.retry = bind_profile()
-    elif software == "unbound":
-        config.retry = unbound_profile()
-        config.chase_ns_aaaa = True
-        config.requery_delegation = True
-        config.cache.max_ttl = 86400
-    else:
-        raise ValueError(f"unknown software {software!r}")
+    sim = world.sim
     resolver = RecursiveResolver(
-        sim, network, "100.64.0.1", ["193.0.0.1"], config=config, name=software
+        sim,
+        world.network,
+        "100.64.0.1",
+        world.root_hints,
+        config=ResolverConfig.for_software(software),
+        name=software,
     )
 
     outcomes: List[Outcome] = []
-    sim.call_later(
-        0.0,
-        resolver.resolve,
-        Name.from_text("amazon.com."),
-        RRType.NS,
-        outcomes.append,
-    )
+    sim.call_later(0.0, resolver.resolve, world.origin, RRType.NS, outcomes.append)
     sim.run(until=30.0)
 
-    entry = resolver.cache.peek(Name.from_text("amazon.com."), RRType.NS)
+    entry = resolver.cache.peek(world.origin, RRType.NS)
     ns_ttl = entry.remaining_ttl(sim.now) if entry is not None else None
     dump = [
         (str(name), str(rtype), ttl, authoritative)

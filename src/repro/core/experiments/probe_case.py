@@ -18,25 +18,16 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+from repro.core.testbed import NEGATIVE_TTL, World
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRType
-from repro.netem.attack import AttackSchedule, AttackWindow
+from repro.netem.attack import AttackWindow
 from repro.netem.link import PerHostLatency
-from repro.netem.transport import Network
 from repro.resolvers.forwarder import ForwarderConfig, ForwardingResolver
 from repro.resolvers.recursive import RecursiveResolver, ResolverConfig
-from repro.resolvers.retry import bind_profile, forwarder_profile, unbound_profile
+from repro.resolvers.retry import forwarder_profile
 from repro.resolvers.stub import StubAnswer, StubResolver
-from repro.servers.authoritative import AuthoritativeServer
-from repro.servers.hierarchy import (
-    PROBE_ANSWER_PREFIX,
-    ZoneSpec,
-    attach_probe_synthesizer,
-    build_hierarchy,
-)
-from repro.servers.querylog import QueryLog
-from repro.simcore.rng import RandomStreams
-from repro.simcore.simulator import Simulator
+from repro.servers.hierarchy import TLD_ORIGIN, ZONE_ORIGIN, ZoneSpec
 
 PROBE_ID = 28477
 
@@ -95,67 +86,30 @@ def run_probe_case(
     ttl: int = 60,
 ) -> ProbeCaseResult:
     """Run the single-probe topology through an Experiment-I attack."""
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    attacks = AttackSchedule()
-    network = Network(
-        sim, streams, latency=PerHostLatency(jitter=0.2), attacks=attacks
+    world = World(
+        seed,
+        [
+            ZoneSpec(".", {"a.root-servers.test.": "193.0.0.1"}),
+            ZoneSpec(TLD_ORIGIN, {"ns1.dns.nl.": "193.0.1.1"}),
+            ZoneSpec(
+                ZONE_ORIGIN,
+                {
+                    "ns1.cachetest.nl.": "192.0.2.1",
+                    "ns2.cachetest.nl.": "192.0.2.2",
+                },
+                ns_ttl=ttl,
+                a_ttl=ttl,
+                negative_ttl=NEGATIVE_TTL,
+            ),
+        ],
+        PerHostLatency(jitter=0.2),
     )
-    rng = streams.stream("probe-case")
-
-    specs = [
-        ZoneSpec(".", {"a.root-servers.test.": "193.0.0.1"}),
-        ZoneSpec("nl.", {"ns1.dns.nl.": "193.0.1.1"}),
-        ZoneSpec(
-            "cachetest.nl.",
-            {
-                "ns1.cachetest.nl.": "192.0.2.1",
-                "ns2.cachetest.nl.": "192.0.2.2",
-            },
-            ns_ttl=ttl,
-            a_ttl=ttl,
-            negative_ttl=60,
-        ),
-    ]
-    zones = build_hierarchy(specs)
-    test_zone = zones[Name.from_text("cachetest.nl.")]
-    attach_probe_synthesizer(test_zone, PROBE_ANSWER_PREFIX, ttl)
-    AuthoritativeServer(sim, network, "193.0.0.1", [zones[Name(())]], name="root")
-    AuthoritativeServer(
-        sim, network, "193.0.1.1", [zones[Name.from_text("nl.")]], name="nl"
-    )
-    at_addresses = ["192.0.2.1", "192.0.2.2"]
-    delivered_log = QueryLog()
-    for address in at_addresses:
-        AuthoritativeServer(
-            sim,
-            network,
-            address,
-            [test_zone],
-            name=f"at-{address}",
-            query_log=delivered_log,
-        )
-
-    offered_log = QueryLog()
-
-    def make_tap(server: str):
-        def tap(packet) -> None:
-            message = packet.message
-            if message.is_response or message.question is None:
-                return
-            offered_log.record(
-                sim.now, packet.src, message.question.qname,
-                message.question.qtype, server,
-            )
-
-        return tap
-
-    for address in at_addresses:
-        network.register_tap(address, make_tap(address))
-
+    sim, network = world.sim, world.network
+    rng = world.streams.stream("probe-case")
+    at_addresses = [server.address for server in world.test_servers]
     attack_start = attack_rounds[0] * round_seconds
     attack_end = attack_rounds[1] * round_seconds
-    attacks.add(
+    world.attacks.add(
         AttackWindow(at_addresses, attack_start, attack_end, loss_fraction)
     )
 
@@ -163,19 +117,14 @@ def run_probe_case(
     rn_addresses: List[str] = []
     for index in range(8):
         address = f"100.64.1.{index + 1}"
-        config = ResolverConfig()
-        if index % 2 == 0:
-            config.retry = unbound_profile()
-            config.chase_ns_aaaa = True
-            config.requery_delegation = True
-        else:
-            config.retry = bind_profile()
         RecursiveResolver(
             sim,
             network,
             address,
-            ["193.0.0.1"],
-            config=config,
+            world.root_hints,
+            config=ResolverConfig.for_software(
+                "unbound" if index % 2 == 0 else "bind"
+            ),
             name=f"rn{index + 1}",
             rng=random.Random(rng.getrandbits(64)),
         )
@@ -201,11 +150,10 @@ def run_probe_case(
     stub = StubResolver(
         sim, network, "10.0.0.1", PROBE_ID, r1_addresses, results=results
     )
-    qname = Name.from_text(f"{PROBE_ID}.cachetest.nl.")
+    qname = Name.from_text(f"{PROBE_ID}.{ZONE_ORIGIN}")
 
     duration = rounds * round_seconds
-    for step in range(1, int(duration // 600) + 1):
-        sim.at(step * 600.0, test_zone.set_serial, 1 + step)
+    world.schedule_rotations(duration)
     for round_index in range(rounds):
         sim.at(
             round_index * round_seconds + rng.random() * 60.0,
@@ -216,6 +164,7 @@ def run_probe_case(
         )
     sim.run(until=duration + 30.0)
 
+    offered_log, delivered_log = world.offered_query_log, world.query_log
     rows: List[Table7Row] = []
     for round_index in range(rounds):
         window = (round_index * round_seconds, (round_index + 1) * round_seconds)

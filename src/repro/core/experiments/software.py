@@ -14,18 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.core.testbed import NEGATIVE_TTL, World
 from repro.dnscore.name import Name
+from repro.dnscore.records import AAAA
 from repro.dnscore.rrtypes import RRType
-from repro.netem.attack import AttackSchedule, AttackWindow
+from repro.netem.attack import AttackWindow
 from repro.netem.link import PerHostLatency
-from repro.netem.transport import Network
 from repro.resolvers.recursive import Outcome, RecursiveResolver, ResolverConfig
-from repro.resolvers.retry import bind_profile, unbound_profile
-from repro.servers.authoritative import AuthoritativeServer
-from repro.servers.hierarchy import ZoneSpec, build_hierarchy
-from repro.servers.querylog import QueryLog
-from repro.simcore.rng import RandomStreams
-from repro.simcore.simulator import Simulator
+from repro.servers.hierarchy import ZoneSpec
 
 
 @dataclass
@@ -59,118 +55,65 @@ def run_software_study(
 ) -> SoftwareResult:
     """Resolve ``sub.cachetest.net`` AAAA once, cold cache, and count
     the queries each zone's servers were offered."""
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    attacks = AttackSchedule()
-    network = Network(
-        sim, streams, latency=PerHostLatency(jitter=0.1), attacks=attacks
+    world = World(
+        seed,
+        [
+            ZoneSpec(
+                ".",
+                {
+                    "a.root-servers.test.": "193.0.0.1",
+                    "b.root-servers.test.": "193.0.0.2",
+                },
+            ),
+            ZoneSpec(
+                "net.",
+                {
+                    "a.gtld-servers.test.": "193.0.1.1",
+                    "b.gtld-servers.test.": "193.0.1.2",
+                },
+            ),
+            ZoneSpec(
+                "cachetest.net.",
+                {
+                    "ns1.cachetest.net.": "192.0.2.1",
+                    "ns2.cachetest.net.": "192.0.2.2",
+                },
+                ns_ttl=3600,
+                a_ttl=3600,
+                negative_ttl=NEGATIVE_TTL,
+            ),
+        ],
+        PerHostLatency(jitter=0.1),
     )
-    specs = [
-        ZoneSpec(
-            ".",
-            {
-                "a.root-servers.test.": "193.0.0.1",
-                "b.root-servers.test.": "193.0.0.2",
-            },
-        ),
-        ZoneSpec(
-            "net.",
-            {
-                "a.gtld-servers.test.": "193.0.1.1",
-                "b.gtld-servers.test.": "193.0.1.2",
-            },
-        ),
-        ZoneSpec(
-            "cachetest.net.",
-            {
-                "ns1.cachetest.net.": "192.0.2.1",
-                "ns2.cachetest.net.": "192.0.2.2",
-            },
-            ns_ttl=3600,
-            a_ttl=3600,
-            negative_ttl=60,
-        ),
-    ]
-    zones = build_hierarchy(specs)
-    root_log = QueryLog()
-    tld_log = QueryLog()
-    target_log = QueryLog()
-    root_zone = zones[Name(())]
-    tld_zone = zones[Name.from_text("net.")]
-    target_zone = zones[Name.from_text("cachetest.net.")]
-    from repro.dnscore.records import AAAA
-
-    target_zone.add(
-        Name.from_text("sub.cachetest.net."),
-        3600,
-        AAAA("2001:db8::cafe"),
-    )
-    for address in ("193.0.0.1", "193.0.0.2"):
-        AuthoritativeServer(
-            sim, network, address, [root_zone], name=f"root-{address}", query_log=root_log
-        )
-    for address in ("193.0.1.1", "193.0.1.2"):
-        AuthoritativeServer(
-            sim, network, address, [tld_zone], name=f"net-{address}", query_log=tld_log
-        )
-    target_addresses = ["192.0.2.1", "192.0.2.2"]
-    for address in target_addresses:
-        AuthoritativeServer(
-            sim, network, address, [target_zone], name=f"at-{address}", query_log=target_log
-        )
-    # The offered load at dead servers is what Figure 16 counts; tap in
-    # front of the attack drop.
-    offered_target = QueryLog()
-
-    def tap(packet) -> None:
-        message = packet.message
-        if message.is_response or message.question is None:
-            return
-        offered_target.record(
-            sim.now, packet.src, message.question.qname, message.question.qtype, "at"
-        )
-
-    for address in target_addresses:
-        network.register_tap(address, tap)
-
+    qname = Name.from_text("sub.cachetest.net.")
+    world.test_zone.add(qname, 3600, AAAA("2001:db8::cafe"))
     if under_attack:
-        attacks.add(AttackWindow(target_addresses, 0.0, 3600.0, 1.0))
+        targets = [server.address for server in world.test_servers]
+        world.attacks.add(AttackWindow(targets, 0.0, 3600.0, 1.0))
 
-    config = ResolverConfig()
-    if software == "bind":
-        config.retry = bind_profile()
-        config.chase_ns_aaaa = False
-        config.requery_delegation = False
-    elif software == "unbound":
-        config.retry = unbound_profile()
-        config.chase_ns_aaaa = True
-        config.requery_delegation = True
-    else:
-        raise ValueError(f"unknown software {software!r}")
     resolver = RecursiveResolver(
-        sim,
-        network,
+        world.sim,
+        world.network,
         "100.64.0.1",
-        ["193.0.0.1", "193.0.0.2"],
-        config=config,
+        world.root_hints,
+        config=ResolverConfig.for_software(software),
         name=software,
     )
-
     outcomes: List[Outcome] = []
-    sim.call_later(
-        0.0,
-        resolver.resolve,
-        Name.from_text("sub.cachetest.net."),
-        RRType.AAAA,
-        outcomes.append,
-    )
-    sim.run(until=60.0)
+    world.sim.call_later(0.0, resolver.resolve, qname, RRType.AAAA, outcomes.append)
+    world.sim.run(until=60.0)
 
+    def delivered(origin: str) -> int:
+        servers = world.servers[Name.from_text(origin)]
+        return sum(server.queries_received for server in servers)
+
+    # The offered load at dead servers is what Figure 16 counts: the
+    # world's tap sits in front of the attack drop.
     return SoftwareResult(
         software=software,
         under_attack=under_attack,
-        queries_root=len(root_log),
-        queries_tld=len(tld_log),
-        queries_target=len(offered_target),
+        queries_root=delivered("."),
+        queries_tld=delivered("net."),
+        queries_target=len(world.offered_query_log),
         resolved=bool(outcomes and outcomes[0].is_success),
     )

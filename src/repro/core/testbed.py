@@ -1,17 +1,19 @@
-"""Assembles one complete measurement world.
+"""Assembles the measurement worlds.
 
-A :class:`Testbed` wires together everything an experiment needs: the
-zone tree (root → parent TLD → measurement zone), replicated
-authoritative servers with query logging, the probe population, zone
-rotation (serial bump every 10 minutes, §3.2), cache churn, and the DDoS
-attack schedule. Experiment runners configure a testbed, schedule probing
-rounds, run the clock, and hand the raw results to the analysis code.
+:class:`World` wires the part every study shares: the zone tree (root →
+parent TLD → measurement zone), replicated authoritative servers with
+query logging and an offered-load tap, zone rotation (serial bump every
+10 minutes, §3.2) and the DDoS attack schedule. A :class:`Testbed` is
+the population world on top of it: the paper's zone tree, the probe
+population, cache churn and attack load. Experiment runners configure a
+testbed (or a small world of their own), schedule probing rounds, run
+the clock, and hand the raw results to the analysis code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.attackload import AttackLoadSpec, build_attack_load
 from repro.clients.population import (
@@ -25,12 +27,14 @@ from repro.dnscore.name import Name
 from repro.dnscore.zone import Zone
 from repro.netem.address import default_allocator
 from repro.netem.attack import AttackSchedule, AttackWindow
-from repro.netem.link import PerHostLatency, draw_authoritative_base
+from repro.netem.link import LatencyModel, PerHostLatency, draw_authoritative_base
 from repro.netem.transport import Network
 from repro.obs import Observability, ObsSpec
 from repro.servers.authoritative import AuthoritativeServer
 from repro.servers.hierarchy import (
     PROBE_ANSWER_PREFIX,
+    TLD_ORIGIN,
+    ZONE_ORIGIN,
     ZoneSpec,
     attach_probe_synthesizer,
     build_hierarchy,
@@ -39,186 +43,126 @@ from repro.servers.querylog import QueryLog
 from repro.simcore.rng import RandomStreams
 from repro.simcore.simulator import Simulator
 
+# Authoritatives per zone in the population testbed.
+SERVERS_PER_ZONE = 2
+# Negative-cache TTL of the measurement zone (§6.1: 60 s).
+NEGATIVE_TTL = 60
+# Zone serial rotation interval (§3.2: every 10 minutes).
+ROTATION_INTERVAL = 600.0
+# Baseline packet loss: produces the pre-attack ~5% failure floor the
+# paper observes before any DDoS (§5.4).
+BASELINE_LOSS = 0.004
 
-@dataclass(frozen=True)
-class TestbedConfig:
-    """Scenario-wide parameters (experiment runners override per run).
 
-    Frozen like every spec dataclass: the run's disk-cache key is
-    computed from these fields, so they must not drift after a testbed
-    is built (enforced by the ``spec-hygiene`` lint rule).
+class World:
+    """One wired DNS world: clock, network, zone tree, authoritatives.
+
+    Every study runs on the same shape — root → TLD → measurement zone
+    with replicated authoritatives — and this constructor is the one
+    place that wires it. The last of ``specs`` is the measurement zone:
+    it synthesizes the probe answers (§3.2) at its ``a_ttl``, its serial
+    rotates, and only its servers get the ``query_log``, the
+    offered-load tap, the tracer and the defense pipelines. The other
+    zones' servers share ``parent_query_log``. Servers are named
+    ``root-<label>``, ``tld-<label>`` and ``at-<label>`` after the first
+    label of their nameserver host.
+
+    ``base_stream`` names the stream that draws each server's base
+    latency (``latency`` must then be a :class:`PerHostLatency`);
+    ``None`` leaves every server at the model's default. ``anycast``
+    maps a nameserver address to the site addresses that serve it: one
+    server per site (``<name>-<index>``), the address routed to them.
     """
 
-    # Not a pytest test class, despite the name.
-    __test__ = False
-
-    seed: int = 42
-    # The measurement zone's record TTL (the sweep variable of §3).
-    zone_ttl: int = 3600
-    # Negative-cache TTL of the measurement zone (§6.1: 60 s).
-    negative_ttl: int = 60
-    # Zone serial rotation interval (§3.2: every 10 minutes).
-    rotation_interval: float = 600.0
-    # TTL the parent publishes in referrals; None = same as zone_ttl.
-    delegation_ttl: Optional[int] = None
-    root_server_count: int = 2
-    tld_server_count: int = 2
-    test_server_count: int = 2
-    zone_origin: str = "cachetest.nl."
-    tld_origin: str = "nl."
-    # Baseline packet loss: produces the pre-attack ~5% failure floor the
-    # paper observes before any DDoS (§5.4).
-    baseline_loss: float = 0.004
-    population: PopulationConfig = field(default_factory=PopulationConfig)
-    # Observability layers (tracing / metrics / profiling); None = all off.
-    obs: Optional[ObsSpec] = None
-    # Adversarial query streams (repro.attackload); None = no attackers.
-    attack_load: Optional[AttackLoadSpec] = None
-    # Authoritative-side defense layers (repro.defense); None = the
-    # paper's infinitely-fast, undefended servers.
-    defense: Optional[DefenseSpec] = None
-
-
-class Testbed:
-    """A fully wired simulation world."""
-
-    # Not a pytest test class, despite the name.
-    __test__ = False
-
-    def __init__(self, config: Optional[TestbedConfig] = None) -> None:
-        self.config = config or TestbedConfig()
-        config = self.config
+    def __init__(
+        self,
+        seed: int,
+        specs: Sequence[ZoneSpec],
+        latency: LatencyModel,
+        baseline_loss: float = 0.0,
+        base_stream: Optional[str] = None,
+        anycast: Optional[Dict[str, List[str]]] = None,
+        obs: Optional[ObsSpec] = None,
+        defense: Optional[DefenseSpec] = None,
+    ) -> None:
         self.sim = Simulator()
-        self.obs = Observability.build(config.obs, self.sim)
+        self.obs = Observability.build(obs, self.sim)
         tracer = self.obs.tracer
-        registry = self.obs.registry
-        self.streams = RandomStreams(config.seed)
-        self.allocator = default_allocator()
-        self.latency = PerHostLatency(jitter=0.2)
+        self.streams = RandomStreams(seed)
+        self.latency = latency
         self.attacks = AttackSchedule()
         self.network = Network(
             self.sim,
             self.streams,
-            latency=self.latency,
+            latency=latency,
             attacks=self.attacks,
-            baseline_loss=config.baseline_loss,
+            baseline_loss=baseline_loss,
             tracer=tracer,
         )
         self.rotation = RotationSchedule(
-            initial_serial=1, interval=config.rotation_interval
+            initial_serial=1, interval=ROTATION_INTERVAL
         )
-        rng = self.streams.stream("testbed")
-
-        # ------------------------------------------------------------------
-        # Zone tree.
-        # ------------------------------------------------------------------
-        self.origin = Name.from_text(config.zone_origin)
-        tld = Name.from_text(config.tld_origin)
-        root_ns = {
-            f"{chr(ord('a') + index)}.root-servers.test.": self.allocator.allocate(
-                "authoritatives"
-            )
-            for index in range(config.root_server_count)
-        }
-        tld_label = config.tld_origin.rstrip(".")
-        tld_ns = {
-            f"ns{index + 1}.dns.{config.tld_origin}": self.allocator.allocate(
-                "authoritatives"
-            )
-            for index in range(config.tld_server_count)
-        }
-        test_ns = {
-            f"ns{index + 1}.{config.zone_origin}": self.allocator.allocate(
-                "authoritatives"
-            )
-            for index in range(config.test_server_count)
-        }
-        specs = [
-            ZoneSpec(".", root_ns),
-            ZoneSpec(config.tld_origin, tld_ns),
-            ZoneSpec(
-                config.zone_origin,
-                test_ns,
-                ns_ttl=config.zone_ttl,
-                a_ttl=config.zone_ttl,
-                delegation_ttl=(
-                    config.delegation_ttl
-                    if config.delegation_ttl is not None
-                    else config.zone_ttl
-                ),
-                negative_ttl=config.negative_ttl,
-            ),
-        ]
         self.zones: Dict[Name, Zone] = build_hierarchy(specs)
+        self.origin = specs[-1].origin_name()
         self.test_zone = self.zones[self.origin]
         attach_probe_synthesizer(
-            self.test_zone, PROBE_ANSWER_PREFIX, config.zone_ttl
+            self.test_zone, PROBE_ANSWER_PREFIX, specs[-1].a_ttl
         )
 
-        # ------------------------------------------------------------------
-        # Authoritative servers.
-        # ------------------------------------------------------------------
-        self.query_log = QueryLog()  # measurement-zone servers
-        self.parent_query_log = QueryLog()  # root + TLD servers
-        self.root_servers: List[AuthoritativeServer] = []
-        self.tld_servers: List[AuthoritativeServer] = []
-        self.test_servers: List[AuthoritativeServer] = []
-        for host, address in root_ns.items():
-            self.latency.set_base(address, draw_authoritative_base(rng))
-            self.root_servers.append(
-                AuthoritativeServer(
-                    self.sim,
-                    self.network,
-                    address,
-                    [self.zones[Name(())]],
-                    name=f"root-{host.split('.')[0]}",
-                    query_log=self.parent_query_log,
-                )
-            )
-        for host, address in tld_ns.items():
-            self.latency.set_base(address, draw_authoritative_base(rng))
-            self.tld_servers.append(
-                AuthoritativeServer(
-                    self.sim,
-                    self.network,
-                    address,
-                    [self.zones[tld]],
-                    name=f"tld-{host.split('.')[0]}",
-                    query_log=self.parent_query_log,
-                )
-            )
         # Defense layers (repro.defense) guard the measurement-zone
         # servers only — they are the attack's victims. The stack is
         # built solely when a layer is on, so undefended runs take the
         # exact pre-defense code path (and draw no "defense" stream).
         self.defense_stack = None
-        if config.defense is not None and config.defense.enabled:
+        if defense is not None and defense.enabled:
             self.defense_stack = build_defense(
-                config.defense, self.streams.stream("defense")
+                defense, self.streams.stream("defense")
             )
-        for host, address in test_ns.items():
-            self.latency.set_base(address, draw_authoritative_base(rng))
-            self.test_servers.append(
-                AuthoritativeServer(
-                    self.sim,
-                    self.network,
-                    address,
-                    [self.test_zone],
-                    name=f"at-{host.split('.')[0]}",
-                    query_log=self.query_log,
-                    tracer=tracer,
-                    defense=(
-                        self.defense_stack.make_pipeline()
-                        if self.defense_stack is not None
-                        else None
-                    ),
+        self.query_log = QueryLog()  # measurement-zone servers
+        self.parent_query_log = QueryLog()  # root + TLD servers
+        rng = self.streams.stream(base_stream) if base_stream else None
+        anycast = anycast or {}
+        self.servers: Dict[Name, List[AuthoritativeServer]] = {}
+        for spec in specs:
+            origin = spec.origin_name()
+            measured = origin == self.origin
+            role = "at" if measured else "tld" if origin.labels else "root"
+            servers = self.servers[origin] = []
+            for host, address in spec.nameservers.items():
+                name = f"{role}-{host.split('.')[0]}"
+                sites = anycast.get(address)
+                instances = (
+                    [(address, name)]
+                    if sites is None
+                    else [(site, f"{name}-{i}") for i, site in enumerate(sites)]
                 )
-            )
-        self.root_hints = [server.address for server in self.root_servers]
-        self.test_ns_names = [Name.from_text(host) for host in test_ns]
-        self.test_server_addresses = [
-            server.address for server in self.test_servers
-        ]
+                for instance, instance_name in instances:
+                    if rng is not None:
+                        latency.set_base(instance, draw_authoritative_base(rng))
+                    servers.append(
+                        AuthoritativeServer(
+                            self.sim,
+                            self.network,
+                            instance,
+                            [self.zones[origin]],
+                            name=instance_name,
+                            query_log=(
+                                self.query_log
+                                if measured
+                                else self.parent_query_log
+                            ),
+                            tracer=tracer if measured else None,
+                            defense=(
+                                self.defense_stack.make_pipeline()
+                                if measured and self.defense_stack is not None
+                                else None
+                            ),
+                        )
+                    )
+                if sites is not None:
+                    self.network.register_anycast(address, sites)
+        self.test_servers = self.servers[self.origin]
+        self.root_hints = [server.address for server in self.servers[Name(())]]
 
         # Offered-load vantage (paper: "queries before they are dropped"):
         # a tap in front of each measurement-zone server records every
@@ -240,6 +184,120 @@ class Testbed:
             self.network.register_tap(
                 server.address, self._make_offered_tap(server.name)
             )
+
+    def _make_offered_tap(self, server_name: str):
+        sim = self.sim
+        record = self.offered_query_log.record
+        sketch = self.source_sketch
+        if sketch is None:
+
+            def tap(packet) -> None:
+                message = packet.message
+                question = message.question
+                if message.is_response or question is None:
+                    return
+                record(
+                    sim.now, packet.src, question.qname, question.qtype, server_name
+                )
+
+            return tap
+
+        def sketch_tap(packet) -> None:
+            message = packet.message
+            question = message.question
+            if message.is_response or question is None:
+                return
+            sketch.update(packet.src)
+            record(sim.now, packet.src, question.qname, question.qtype, server_name)
+
+        return sketch_tap
+
+    def schedule_rotations(self, duration: float) -> None:
+        """Bump the zone serial every rotation interval (new zone file)."""
+        interval = self.rotation.interval
+        count = int(duration // interval)
+        for step in range(1, count + 1):
+            self.sim.at(
+                step * interval,
+                self.test_zone.set_serial,
+                self.rotation.initial_serial + step,
+            )
+
+
+@dataclass(frozen=True)
+class TestbedConfig:
+    """Scenario-wide parameters (experiment runners override per run).
+
+    Frozen like every spec dataclass: the run's disk-cache key is
+    computed from these fields, so they must not drift after a testbed
+    is built (enforced by the ``spec-hygiene`` lint rule).
+    """
+
+    # Not a pytest test class, despite the name.
+    __test__ = False
+
+    seed: int = 42
+    # The measurement zone's record TTL (the sweep variable of §3).
+    zone_ttl: int = 3600
+    # TTL the parent publishes in referrals; None = same as zone_ttl.
+    delegation_ttl: Optional[int] = None
+    population: PopulationConfig = field(default_factory=PopulationConfig)
+    # Observability layers (tracing / metrics / profiling); None = all off.
+    obs: Optional[ObsSpec] = None
+    # Adversarial query streams (repro.attackload); None = no attackers.
+    attack_load: Optional[AttackLoadSpec] = None
+    # Authoritative-side defense layers (repro.defense); None = the
+    # paper's infinitely-fast, undefended servers.
+    defense: Optional[DefenseSpec] = None
+
+
+class Testbed(World):
+    """The population world: the paper's zone tree, probes and attackers."""
+
+    # Not a pytest test class, despite the name.
+    __test__ = False
+
+    def __init__(self, config: Optional[TestbedConfig] = None) -> None:
+        self.config = config = config or TestbedConfig()
+        self.allocator = default_allocator()
+        allocate = self.allocator.allocate
+        count = range(SERVERS_PER_ZONE)
+        root_ns = {
+            f"{chr(ord('a') + i)}.root-servers.test.": allocate("authoritatives")
+            for i in count
+        }
+        tld_ns = {f"ns{i + 1}.dns.{TLD_ORIGIN}": allocate("authoritatives") for i in count}
+        test_ns = {f"ns{i + 1}.{ZONE_ORIGIN}": allocate("authoritatives") for i in count}
+        super().__init__(
+            config.seed,
+            [
+                ZoneSpec(".", root_ns),
+                ZoneSpec(TLD_ORIGIN, tld_ns),
+                ZoneSpec(
+                    ZONE_ORIGIN,
+                    test_ns,
+                    ns_ttl=config.zone_ttl,
+                    a_ttl=config.zone_ttl,
+                    delegation_ttl=(
+                        config.delegation_ttl
+                        if config.delegation_ttl is not None
+                        else config.zone_ttl
+                    ),
+                    negative_ttl=NEGATIVE_TTL,
+                ),
+            ],
+            PerHostLatency(jitter=0.2),
+            baseline_loss=BASELINE_LOSS,
+            base_stream="testbed",
+            obs=config.obs,
+            defense=config.defense,
+        )
+        tracer = self.obs.tracer
+        registry = self.obs.registry
+        self.test_ns_names = [Name.from_text(host) for host in test_ns]
+        self.test_server_addresses = [
+            server.address for server in self.test_servers
+        ]
 
         # ------------------------------------------------------------------
         # Client population.
@@ -302,47 +360,9 @@ class Testbed:
                     "sketch", self.source_sketch.summary
                 )
 
-    def _make_offered_tap(self, server_name: str):
-        sim = self.sim
-        record = self.offered_query_log.record
-        sketch = self.source_sketch
-        if sketch is None:
-
-            def tap(packet) -> None:
-                message = packet.message
-                question = message.question
-                if message.is_response or question is None:
-                    return
-                record(
-                    sim.now, packet.src, question.qname, question.qtype, server_name
-                )
-
-            return tap
-
-        def sketch_tap(packet) -> None:
-            message = packet.message
-            question = message.question
-            if message.is_response or question is None:
-                return
-            sketch.update(packet.src)
-            record(sim.now, packet.src, question.qname, question.qtype, server_name)
-
-        return sketch_tap
-
     # ------------------------------------------------------------------
     # Scheduling helpers
     # ------------------------------------------------------------------
-    def schedule_rotations(self, duration: float) -> None:
-        """Bump the zone serial every rotation interval (new zone file)."""
-        interval = self.config.rotation_interval
-        count = int(duration // interval)
-        for step in range(1, count + 1):
-            self.sim.at(
-                step * interval,
-                self.test_zone.set_serial,
-                self.rotation.initial_serial + step,
-            )
-
     def schedule_probing(
         self,
         start: float,

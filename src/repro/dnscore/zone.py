@@ -18,7 +18,7 @@ import enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dnscore.name import Name
-from repro.dnscore.records import NS, SOA, Rdata, ResourceRecord, RRset
+from repro.dnscore.records import NS, SOA, Rdata, ResourceRecord
 from repro.dnscore.rrtypes import Rcode, RRType
 
 Synthesizer = Callable[[Name, RRType], Optional[List[ResourceRecord]]]
@@ -121,10 +121,6 @@ class Zone:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, name: Name, rtype: RRType) -> List[ResourceRecord]:
-        """Raw stored records for (name, type); no delegation logic."""
-        return list(self._records.get((name, rtype), []))
-
     def _negative_authority(self) -> List[ResourceRecord]:
         """SOA for the authority section of negative answers (RFC 2308)."""
         return [self.soa_record]
@@ -206,10 +202,6 @@ class Zone:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def rrsets(self) -> List[RRset]:
-        """All stored RRsets (for tests and zone dumps)."""
-        return [RRset(records) for records in self._records.values() if records]
-
     def delegations(self) -> List[Name]:
         return sorted(self._delegations)
 

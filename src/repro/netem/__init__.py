@@ -13,7 +13,6 @@ from repro.netem.attack import AttackSchedule, AttackWindow
 from repro.netem.link import (
     ConstantLatency,
     LatencyModel,
-    PairwiseLatency,
     PerHostLatency,
 )
 from repro.netem.topology import Host
@@ -28,6 +27,5 @@ __all__ = [
     "LatencyModel",
     "Network",
     "Packet",
-    "PairwiseLatency",
     "PerHostLatency",
 ]

@@ -10,7 +10,7 @@ multiplicative jitter.
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from typing import Dict
 
 
 class LatencyModel:
@@ -60,26 +60,6 @@ class PerHostLatency(LatencyModel):
         if self.jitter <= 0:
             return base
         return base * (1.0 + rng.random() * self.jitter)
-
-
-class PairwiseLatency(LatencyModel):
-    """Explicit per-pair delays, falling back to a default.
-
-    Used by the single-probe case study (paper Appendix F) where the
-    topology is small and fixed.
-    """
-
-    def __init__(self, default: float = 0.02) -> None:
-        self.default = default
-        self._pairs: Dict[Tuple[str, str], float] = {}
-
-    def set_pair(self, src: str, dst: str, delay: float, symmetric: bool = True) -> None:
-        self._pairs[(src, dst)] = delay
-        if symmetric:
-            self._pairs[(dst, src)] = delay
-
-    def one_way(self, src: str, dst: str, rng: random.Random) -> float:
-        return self._pairs.get((src, dst), self.default)
 
 
 def draw_client_base(rng: random.Random) -> float:

@@ -26,7 +26,7 @@ from repro.netem.topology import Host
 from repro.netem.transport import Network, Packet
 from repro.resolvers.cache import CacheConfig, DnsCache
 from repro.resolvers.negcache import NegativeCache
-from repro.resolvers.retry import RetryPolicy, bind_profile
+from repro.resolvers.retry import RetryPolicy, bind_profile, unbound_profile
 from repro.resolvers.selection import ServerSelector
 from repro.simcore.simulator import Simulator
 
@@ -75,6 +75,25 @@ class ResolverConfig:
     requery_delegation: bool = False
     max_cname_depth: int = 8
     max_subresolution_depth: int = 3
+
+    @classmethod
+    def for_software(cls, software: str) -> "ResolverConfig":
+        """The ``"bind"`` or ``"unbound"`` personality of Appendix E.
+
+        BIND keeps the defaults (one-week TTL cap, re-asks parents);
+        Unbound retries faster and longer, chases AAAA for NS names,
+        re-validates delegations at the child and caps TTLs at one day.
+        """
+        if software == "bind":
+            return cls(retry=bind_profile())
+        if software == "unbound":
+            return cls(
+                cache=CacheConfig(max_ttl=86400),
+                retry=unbound_profile(),
+                chase_ns_aaaa=True,
+                requery_delegation=True,
+            )
+        raise ValueError(f"unknown software {software!r}")
 
 
 class Outcome:

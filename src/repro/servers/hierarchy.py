@@ -149,3 +149,7 @@ def attach_probe_synthesizer(
 
 # The paper's instrumentation prefix (§3.2).
 PROBE_ANSWER_PREFIX = "fd0f:3897:faf7:a375::"
+
+# The paper's measurement zone and the TLD that delegates it (§3.2).
+ZONE_ORIGIN = "cachetest.nl."
+TLD_ORIGIN = "nl."

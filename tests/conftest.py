@@ -4,23 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.testbed import World
 from repro.dnscore.name import Name
-from repro.netem.attack import AttackSchedule
 from repro.netem.link import ConstantLatency
-from repro.netem.transport import Network
-from repro.servers.authoritative import AuthoritativeServer
-from repro.servers.hierarchy import (
-    PROBE_ANSWER_PREFIX,
-    ZoneSpec,
-    attach_probe_synthesizer,
-    build_hierarchy,
-)
-from repro.servers.querylog import QueryLog
-from repro.simcore.rng import RandomStreams
-from repro.simcore.simulator import Simulator
+from repro.servers.hierarchy import ZoneSpec
 
 
-class MiniWorld:
+class MiniWorld(World):
     """A root → nl → cachetest.nl world with two target authoritatives.
 
     Latency is a constant 10 ms one way, no baseline loss, so tests can
@@ -33,69 +23,29 @@ class MiniWorld:
     AT2 = "192.0.2.2"
 
     def __init__(self, zone_ttl: int = 3600, negative_ttl: int = 60) -> None:
-        self.sim = Simulator()
-        self.streams = RandomStreams(1234)
-        self.attacks = AttackSchedule()
-        self.network = Network(
-            self.sim,
-            self.streams,
-            latency=ConstantLatency(0.01),
-            attacks=self.attacks,
+        super().__init__(
+            1234,
+            [
+                ZoneSpec(".", {"a.root-servers.test.": self.ROOT}),
+                ZoneSpec("nl.", {"ns1.dns.nl.": self.TLD}),
+                ZoneSpec(
+                    "cachetest.nl.",
+                    {
+                        "ns1.cachetest.nl.": self.AT1,
+                        "ns2.cachetest.nl.": self.AT2,
+                    },
+                    ns_ttl=zone_ttl,
+                    a_ttl=zone_ttl,
+                    negative_ttl=negative_ttl,
+                ),
+            ],
+            ConstantLatency(0.01),
         )
         self.zone_ttl = zone_ttl
-        specs = [
-            ZoneSpec(".", {"a.root-servers.test.": self.ROOT}),
-            ZoneSpec("nl.", {"ns1.dns.nl.": self.TLD}),
-            ZoneSpec(
-                "cachetest.nl.",
-                {
-                    "ns1.cachetest.nl.": self.AT1,
-                    "ns2.cachetest.nl.": self.AT2,
-                },
-                ns_ttl=zone_ttl,
-                a_ttl=zone_ttl,
-                negative_ttl=negative_ttl,
-            ),
-        ]
-        self.zones = build_hierarchy(specs)
-        self.origin = Name.from_text("cachetest.nl.")
-        self.test_zone = self.zones[self.origin]
-        attach_probe_synthesizer(self.test_zone, PROBE_ANSWER_PREFIX, zone_ttl)
-        self.query_log = QueryLog()
-        self.parent_log = QueryLog()
-        self.root_server = AuthoritativeServer(
-            self.sim,
-            self.network,
-            self.ROOT,
-            [self.zones[Name(())]],
-            name="root",
-            query_log=self.parent_log,
-        )
-        self.tld_server = AuthoritativeServer(
-            self.sim,
-            self.network,
-            self.TLD,
-            [self.zones[Name.from_text("nl.")]],
-            name="tld",
-            query_log=self.parent_log,
-        )
-        self.at1 = AuthoritativeServer(
-            self.sim,
-            self.network,
-            self.AT1,
-            [self.test_zone],
-            name="at1",
-            query_log=self.query_log,
-        )
-        self.at2 = AuthoritativeServer(
-            self.sim,
-            self.network,
-            self.AT2,
-            [self.test_zone],
-            name="at2",
-            query_log=self.query_log,
-        )
-        self.root_hints = [self.ROOT]
+        self.parent_log = self.parent_query_log
+        (self.root_server,) = self.servers[Name(())]
+        (self.tld_server,) = self.servers[Name.from_text("nl.")]
+        self.at1, self.at2 = self.test_servers
         self.target_addresses = [self.AT1, self.AT2]
 
 

@@ -16,8 +16,8 @@ def small_testbed(**kwargs) -> Testbed:
 def test_construction_wires_zone_tree():
     testbed = small_testbed()
     assert testbed.origin == Name.from_text("cachetest.nl.")
-    assert len(testbed.root_servers) == 2
-    assert len(testbed.tld_servers) == 2
+    assert len(testbed.servers[Name(())]) == 2
+    assert len(testbed.servers[Name.from_text("nl.")]) == 2
     assert len(testbed.test_servers) == 2
     assert len(testbed.root_hints) == 2
     # The test zone delegated from the TLD.

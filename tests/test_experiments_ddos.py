@@ -1,5 +1,7 @@
 """Integration tests for the DDoS experiment runner (small scale)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.experiments import DDOS_EXPERIMENTS, run_ddos
@@ -123,3 +125,19 @@ def test_one_server_attack_barely_noticed():
     before = result.failure_fraction_before_attack()
     # Paper Fig 14a: no significant change when one NS takes 50% loss.
     assert during < before + 0.06
+
+
+def test_queue_only_attack_stretches_latency_not_reliability():
+    """A pure-delay attack (0% loss, 400 ms mean queueing) installs its
+    window: mid-attack latency more than doubles against the same run's
+    pre-attack rounds while the failure rate stays within 8 points."""
+    spec = dataclasses.replace(
+        DDOS_EXPERIMENTS["H"], key="Hq0", loss_fraction=0.0, queue_delay=0.4
+    )
+    result = run_ddos(spec, probe_count=60, seed=42)
+    latency = {row.round_index: row for row in result.latency_series()}
+    assert latency[8].mean_ms > 2 * latency[2].mean_ms
+    assert (
+        result.failure_fraction_during_attack()
+        < result.failure_fraction_before_attack() + 0.08
+    )

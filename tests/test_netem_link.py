@@ -6,7 +6,6 @@ import pytest
 
 from repro.netem.link import (
     ConstantLatency,
-    PairwiseLatency,
     PerHostLatency,
     draw_authoritative_base,
     draw_client_base,
@@ -50,23 +49,6 @@ def test_per_host_rejects_negative_base():
     model = PerHostLatency()
     with pytest.raises(ValueError):
         model.set_base("x", -0.01)
-
-
-def test_pairwise_latency():
-    model = PairwiseLatency(default=0.05)
-    model.set_pair("a", "b", 0.001)
-    rng = random.Random(0)
-    assert model.one_way("a", "b", rng) == 0.001
-    assert model.one_way("b", "a", rng) == 0.001  # symmetric by default
-    assert model.one_way("a", "c", rng) == 0.05
-
-
-def test_pairwise_asymmetric():
-    model = PairwiseLatency()
-    model.set_pair("a", "b", 0.001, symmetric=False)
-    rng = random.Random(0)
-    assert model.one_way("a", "b", rng) == 0.001
-    assert model.one_way("b", "a", rng) == model.default
 
 
 def test_base_draws_in_sane_ranges():

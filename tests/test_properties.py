@@ -1,6 +1,6 @@
 """Cross-cutting property tests on core invariants."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.metrics import quantile
@@ -110,23 +110,6 @@ def test_zone_serial_updates_visible(serials):
     for serial in serials:
         zone.set_serial(serial)
         assert zone.serial == serial
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    ttls=st.lists(st.integers(1, 86400), min_size=1, max_size=4),
-)
-def test_zonefile_roundtrip_random_ttls(ttls):
-    from repro.dnscore.zonefile import parse_zone_text, zone_to_text
-
-    lines = ["$ORIGIN z.test.", "$TTL 300", "@ IN SOA ns hostmaster ( 1 2 3 4 5 )"]
-    for index, ttl in enumerate(ttls):
-        lines.append(f"h{index} {ttl} IN A 192.0.2.{(index % 250) + 1}")
-    zone = parse_zone_text("\n".join(lines))
-    reparsed = parse_zone_text(zone_to_text(zone))
-    assert {
-        (str(rrset.name), rrset.ttl) for rrset in reparsed.rrsets()
-    } == {(str(rrset.name), rrset.ttl) for rrset in zone.rrsets()}
 
 
 @given(

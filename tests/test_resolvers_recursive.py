@@ -113,6 +113,23 @@ def test_retries_spread_across_both_servers(world):
     assert resolver.upstream_timeouts >= 4
 
 
+def test_failover_to_surviving_authoritative(world):
+    """Resilience matches the strongest authoritative (§8): with one
+    target dead for the whole run, every resolution still succeeds and
+    the dead server is delivered nothing."""
+    world.attacks.add(AttackWindow([world.AT1], 0.0, 1e9, 1.0))
+    resolver = make_resolver(world)
+    outcomes = []
+    for index in range(60):
+        qname = Name.from_text(f"{index + 1}.cachetest.nl.")
+        world.sim.at(index * 2.0, resolver.resolve, qname, RRType.AAAA, outcomes.append)
+    world.sim.run(until=150.0)
+    assert len(outcomes) == 60
+    assert all(outcome.is_success for outcome in outcomes)
+    assert world.at1.queries_received == 0
+    assert world.at2.queries_received >= 60
+
+
 def test_requery_parent_on_failure_hits_parents_again(world):
     world.attacks.add(AttackWindow(world.target_addresses, 0.0, 1e6, 1.0))
     config = ResolverConfig(retry=bind_profile())
@@ -123,7 +140,7 @@ def test_requery_parent_on_failure_hits_parents_again(world):
     tld_queries = [
         entry
         for entry in world.parent_log.entries
-        if entry.server == "tld" and entry.qname == QNAME
+        if entry.server == world.tld_server.name and entry.qname == QNAME
     ]
     assert len(tld_queries) >= 2
 
