@@ -1,18 +1,14 @@
-"""Shared machinery for the reproduction benchmarks.
+"""One session of named results for the paper scoreboard.
 
-Each benchmark regenerates one of the paper's tables or figures. The
-underlying simulation runs are expensive, so a session-scoped
-:class:`RunCache` runs each experiment once (at reduced scale — the
-shapes are scale-invariant, see DESIGN.md §4) and the benchmarks time
-the regeneration/analysis step against the cached raw data. Every
-benchmark also writes its rendered output (measured next to the paper's
-reported values) to ``benchmarks/output/<id>.txt``.
+A single ``run_many`` batch runs the report's battery at its default
+sizes (600 baseline / 400 DDoS probes, seed 42) together with the
+extension runs, through the :class:`repro.runner.DiskCache` at
+``benchmarks/.runcache`` (``$REPRO_CACHE_DIR`` relocates it). A repeat
+session against unchanged code skips the simulations; any edit under
+``src/repro`` changes the code fingerprint and reruns them. Results with
+no run-request kind are computed in-process.
 
-The in-memory session cache is backed by the persistent
-:class:`repro.runner.DiskCache` (``benchmarks/.runcache`` by default,
-``$REPRO_CACHE_DIR`` to relocate), so repeat benchmark sessions against
-unchanged code skip the simulations entirely; any edit to ``src/repro``
-changes the code fingerprint and recomputes from scratch.
+Run:  PYTHONPATH=src python -m pytest benchmarks -q
 """
 
 from __future__ import annotations
@@ -22,67 +18,29 @@ import pathlib
 
 import pytest
 
-from repro.core.experiments import BASELINE_EXPERIMENTS, DDOS_EXPERIMENTS
-from repro.runner import (
-    DiskCache,
-    baseline_request,
-    ddos_request,
-    run_many,
+from repro.analysis.scoreboard import (
+    IN_PROCESS,
+    extension_requests,
+    paper_requests,
 )
+from repro.runner import DiskCache, run_many
 
-# Reduced-scale population sizes (paper: ~9000 probes).
 BASELINE_PROBES = 600
 DDOS_PROBES = 400
 SEED = 42
-
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 RUNCACHE_DIR = os.environ.get(
     "REPRO_CACHE_DIR", str(pathlib.Path(__file__).parent / ".runcache")
 )
 
 
-class RunCache:
-    """Runs each experiment at most once per session, once per code version
-    on disk."""
-
-    def __init__(self) -> None:
-        self._results = {}
-        self._disk = DiskCache(RUNCACHE_DIR)
-
-    def _run(self, request):
-        key = (request.kind, request.spec.key)
-        if key not in self._results:
-            [self._results[key]] = run_many([request], cache=self._disk)
-        return self._results[key]
-
-    def baseline(self, key: str):
-        return self._run(
-            baseline_request(
-                BASELINE_EXPERIMENTS[key], probe_count=BASELINE_PROBES, seed=SEED
-            )
-        )
-
-    def ddos(self, key: str):
-        return self._run(
-            ddos_request(
-                DDOS_EXPERIMENTS[key], probe_count=DDOS_PROBES, seed=SEED
-            )
-        )
-
-
 @pytest.fixture(scope="session")
-def runs() -> RunCache:
-    return RunCache()
-
-
-@pytest.fixture(scope="session")
-def output_dir() -> pathlib.Path:
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    return OUTPUT_DIR
-
-
-def emit(output_dir: pathlib.Path, name: str, text: str) -> None:
-    """Print the rendered table/figure and persist it as an artifact."""
-    print()
-    print(text)
-    (output_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+def runs():
+    named = paper_requests(BASELINE_PROBES, DDOS_PROBES, SEED)
+    named += extension_requests(SEED)
+    results = run_many(
+        [request for _, request in named], cache=DiskCache(RUNCACHE_DIR)
+    )
+    by_name = {name: result for (name, _), result in zip(named, results)}
+    by_name.update((name, compute(SEED)) for name, compute in IN_PROCESS.items())
+    return by_name

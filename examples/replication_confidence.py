@@ -11,11 +11,10 @@ fall inside the intervals.
 Run:  python examples/replication_confidence.py
 """
 
+from repro.analysis.scoreboard import CELL
 from repro.analysis.stats import run_over_seeds
 from repro.core.experiments import DDOS_EXPERIMENTS, run_ddos
 
-PAPER_FAILURE = 0.403
-PAPER_AMPLIFICATION = 8.2
 SEEDS = (11, 23, 37, 41, 53)
 
 
@@ -38,8 +37,8 @@ def main() -> None:
     )
 
     targets = {
-        "failure fraction (attack window)": PAPER_FAILURE,
-        "authoritative amplification": PAPER_AMPLIFICATION,
+        "failure fraction (attack window)": CELL["table4.H.failure"].value,
+        "authoritative amplification": CELL["fig10.H.amplification"].value,
     }
     for name, sweep in sweeps.items():
         low, high = sweep.ci95

@@ -225,19 +225,13 @@ def _cmd_ddos(args: argparse.Namespace) -> int:
         with open(args.export_trace, "w", encoding="utf-8") as stream:
             rows = export_query_log(result.testbed.offered_query_log, stream)
         print(f"exported {rows} offered queries to {args.export_trace}")
-    start, end = spec.attack_window
-    attack_rounds = [
-        index
-        for index in range(int(spec.total_duration_min))
-        if start <= index * spec.round_seconds < end
-    ]
     print()
     print(
         render_timeseries_table(
             "Client outcomes per round (* = attack)",
             result.outcomes_by_round(),
             ["ok", "servfail", "no_answer"],
-            attack_rounds=attack_rounds,
+            attack_rounds=spec.attack_rounds,
         )
     )
     print(f"\nfailures before attack: {result.failure_fraction_before_attack():.1%}")

@@ -2,15 +2,18 @@
 
 Runs the complete experiment battery at a configurable scale and
 renders a Markdown comparison of every table and figure against the
-paper's reported values. Deterministic for a given seed. Used by
-``scripts/generate_experiments_md.py`` and ``python -m repro report``.
+paper's reported values. Every paper value it prints, and the verdict
+next to it, comes from the scoreboard's cells
+(:data:`repro.analysis.scoreboard.CELLS`). Deterministic for a given
+seed. Used by ``scripts/generate_experiments_md.py`` and
+``python -m repro report``.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.experiments import (
     BASELINE_EXPERIMENTS,
@@ -19,32 +22,6 @@ from repro.core.experiments import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner import DiskCache, RunFailure
-from repro.workloads.ditl import (
-    DitlConfig,
-    fraction_at_least,
-    generate_ditl_counts,
-    per_letter_cdf,
-)
-from repro.workloads.nl_trace import (
-    NlTraceConfig,
-    close_query_fraction,
-    generate_nl_trace,
-    interarrival_medians,
-)
-
-PAPER_MISS = {
-    "60": "0.0%", "1800": "32.6%", "3600": "32.9%",
-    "86400": "30.9%", "3600-10m": "28.5%",
-}
-PAPER_FAIL = {
-    "E": "8.5%", "F": "19.0%", "H": "40.3%", "I": "~63%",
-    "D": "no visible change", "G": "~28%",
-}
-PAPER_AMP = {"F": "3.5x", "H": "8.2x", "I": "8.1x"}
-PAPER_SOFTWARE = {
-    ("bind", False): "3", ("bind", True): "12",
-    ("unbound", False): "5–6", ("unbound", True): "46",
-}
 
 
 def build_report(
@@ -87,18 +64,18 @@ def build_report(
     (plus ``failure_ledger``, when a list is passed in) records exactly
     what was lost.
     """
-    from repro.obs import ObsSpec
-    from repro.runner import (
-        RunFailure,
-        RunFailureError,
-        baseline_request,
-        cache_dump_request,
-        ddos_request,
-        glue_request,
-        probe_case_request,
-        run_many,
-        software_request,
+    from repro.analysis.scoreboard import (
+        CELL,
+        IN_PROCESS,
+        SOFTWARE_CELLS,
+        latency_at,
+        paper_requests,
+        per_probe_at,
+        software_run,
+        unique_rn_means,
     )
+    from repro.obs import ObsSpec
+    from repro.runner import RunFailure, RunFailureError, run_many
 
     obs = None
     if (
@@ -136,6 +113,8 @@ def build_report(
         report.
         """
         mark = len(lines)
+        out(f"## {title}")
+        out("")
         try:
             yield
         except Exception as error:
@@ -155,43 +134,42 @@ def build_report(
 
     # Fan the full independent-run battery out in a single batch so the
     # worker pool stays busy across experiment families.
-    software_cells = [
-        (software, attack)
-        for software in ("bind", "unbound")
-        for attack in (False, True)
-    ]
-    requests = (
-        [
-            baseline_request(
-                spec, probe_count=baseline_probes, seed=seed, obs=obs
-            )
-            for spec in BASELINE_EXPERIMENTS.values()
-        ]
-        + [
-            ddos_request(spec, probe_count=ddos_probes, seed=seed, obs=obs)
-            for spec in DDOS_EXPERIMENTS.values()
-        ]
-        + [glue_request(probe_count=400, seed=seed, rounds=3)]
-        + [cache_dump_request(software) for software in ("bind", "unbound")]
-        + [
-            software_request(software, attack, seed=seed)
-            for software, attack in software_cells
-        ]
-        + [probe_case_request(seed=11)]
-    )
+    names, requests = zip(*paper_requests(baseline_probes, ddos_probes, seed, obs))
     battery_results = run_many(
-        requests, jobs=jobs, cache=cache, keep_going=keep_going
+        list(requests), jobs=jobs, cache=cache, keep_going=keep_going
     )
     failures.extend(
         result for result in battery_results if isinstance(result, RunFailure)
     )
-    battery = iter(battery_results)
-    baselines = {key: next(battery) for key in BASELINE_EXPERIMENTS}
-    ddos = {key: next(battery) for key in DDOS_EXPERIMENTS}
-    glue = next(battery)
-    cache_dumps = {software: next(battery) for software in ("bind", "unbound")}
-    software_results = {cell: next(battery) for cell in software_cells}
-    probe = next(battery)
+    runs: Dict[str, Any] = dict(zip(names, battery_results))
+    baselines = {key: runs[f"baseline-{key}"] for key in BASELINE_EXPERIMENTS}
+    ddos = {key: runs[f"ddos-{key}"] for key in DDOS_EXPERIMENTS}
+    cell_values: Dict[str, float] = {}
+
+    def value(cell_id: str) -> float:
+        if cell_id not in cell_values:
+            cell_values[cell_id] = CELL[cell_id].evaluate(runs)
+        return cell_values[cell_id]
+
+    def verdict(*cell_ids: str) -> str:
+        banded = [cell_id for cell_id in cell_ids if CELL[cell_id].banded]
+        if not banded:
+            return ""
+        inside = all(CELL[cell_id].holds(value(cell_id)) for cell_id in banded)
+        return "in band" if inside else "out of band"
+
+    def header() -> None:
+        out("| quantity | paper | measured | verdict |")
+        out("|---|---|---|---|")
+
+    def row(label: str, measured: str, *cell_ids: str) -> None:
+        paper = CELL[cell_ids[0]].paper
+        out(f"| {label} | {paper} | {measured} | {verdict(*cell_ids)} |")
+
+    def cell_rows(*rows: Tuple[str, str, str]) -> None:
+        """Rows whose measured value is the cell's own, formatted."""
+        for label, cell_id, spec in rows:
+            row(label, format(value(cell_id), spec), cell_id)
 
     if obs is not None:
         from repro.obs import export_metrics, export_spans, export_timeline
@@ -243,130 +221,107 @@ def build_report(
 
     # ------------------------------------------------------------------
     with section("Caching baseline (§3) — Tables 1–3, Figures 3, 13"):
-        out("## Caching baseline (§3) — Tables 1–3, Figures 3, 13")
-        out("")
-        out("| experiment | paper miss rate | measured miss rate |")
-        out("|---|---|---|")
+        out("| experiment | paper miss rate | measured miss rate | verdict |")
+        out("|---|---|---|---|")
         for key, result in baselines.items():
-            out(f"| TTL {key} | {PAPER_MISS[key]} | {result.miss_rate:.1%} |")
+            row(f"TTL {key}", f"{result.miss_rate:.1%}", f"fig03.{key}.miss_rate")
         out("")
 
-        base = baselines["1800"]
-        dataset = base.dataset
         out("Table 1 ratios (TTL 1800 column):")
         out("")
-        out("| quantity | paper | measured |")
-        out("|---|---|---|")
-        out(
-            f"| probes answering | 95.3% | {dataset.probes_valid / dataset.probes:.1%} |"
+        header()
+        cell_rows(
+            ("probes answering", "table1.probes_valid", ".1%"),
+            ("queries answered", "table1.answered", ".1%"),
+            ("valid among answers", "table1.answers_valid", ".1%"),
+            ("VPs per probe", "table1.vps_per_probe", ".2f"),
         )
-        out(f"| queries answered | 95.4% | {dataset.answers / dataset.queries:.1%} |")
-        out(
-            "| valid among answers | 99.6% | "
-            f"{dataset.answers_valid / max(1, dataset.answers):.1%} |"
-        )
-        out(f"| VPs per probe | 1.67 | {dataset.vps / dataset.probes:.2f} |")
         out("")
 
-        table2 = base.table2
-        table2_day = baselines["86400"].table2
         out("Table 2 manipulation/fragmentation markers:")
         out("")
-        out("| quantity | paper | measured |")
-        out("|---|---|---|")
-        out(
-            "| warm-up TTL altered, TTL 1800 | ~2% | "
-            f"{table2.warmup_ttl_altered / max(1, table2.warmup):.1%} |"
-        )
-        out(
-            "| warm-up TTL altered, TTL 86400 | ~30% | "
-            f"{table2_day.warmup_ttl_altered / max(1, table2_day.warmup):.1%} |"
-        )
-        out(
-            "| CCdec (fragmentation), TTL 86400 | ~7.8% of CC | "
-            f"{table2_day.cc_decreasing / max(1, table2_day.cc):.1%} |"
+        header()
+        cell_rows(
+            ("warm-up TTL altered, TTL 1800", "table2.1800.warmup_altered", ".1%"),
+            ("warm-up TTL altered, TTL 86400", "table2.86400.warmup_altered", ".1%"),
+            ("CCdec (fragmentation), TTL 86400", "table2.86400.ccdec", ".1%"),
         )
         out("")
 
-        table3 = base.table3
         out("Table 3 miss attribution (TTL 1800):")
         out("")
-        out("| quantity | paper | measured |")
-        out("|---|---|---|")
-        out(
-            "| public R1 share of AC | 48.7% | "
-            f"{table3.public_r1 / max(1, table3.ac_total):.1%} |"
-        )
-        out(
-            "| Google R1 share of AC | 39.3% | "
-            f"{table3.google_r1 / max(1, table3.ac_total):.1%} |"
-        )
-        out(
-            "| Google Rn within non-public AC | 9.5% | "
-            f"{table3.google_rn / max(1, table3.non_public_r1):.1%} |"
+        header()
+        cell_rows(
+            ("public R1 share of AC", "table3.public_r1_share", ".1%"),
+            ("Google R1 share of AC", "table3.google_r1_share", ".1%"),
+            (
+                "Google Rn within non-public AC",
+                "table3.google_rn_within_nonpublic",
+                ".1%",
+            ),
         )
         out("")
 
     # ------------------------------------------------------------------
     with section("DDoS experiments (§5–§6) — Table 4, Figures 6–12, 14, 15"):
-        out("## DDoS experiments (§5–§6) — Table 4, Figures 6–12, 14, 15")
-        out("")
         out(
             "| exp | loss | TTL | paper failures (attack) | measured | "
-            "measured amplification (paper) |"
+            "measured amplification (paper) | verdict |"
         )
-        out("|---|---|---|---|---|---|")
+        out("|---|---|---|---|---|---|---|")
         for key, result in ddos.items():
             spec = result.spec
-            amplification = f"{result.amplification():.1f}x"
-            if key in PAPER_AMP:
-                amplification += f" ({PAPER_AMP[key]})"
+            failure = CELL.get(f"table4.{key}.failure")
+            amplification = CELL.get(f"fig10.{key}.amplification")
+            cells = [cell.id for cell in (failure, amplification) if cell]
+            if amplification is None:
+                measured_amplification = f"{result.amplification():.1f}x"
+            else:
+                measured_amplification = (
+                    f"{value(amplification.id):.1f}x ({amplification.paper})"
+                )
             out(
                 f"| {key} | {spec.loss_fraction:.0%} {spec.servers} | {spec.ttl} | "
-                f"{PAPER_FAIL.get(key, '-')} | "
-                f"{result.failure_fraction_during_attack():.1%} | {amplification} |"
+                f"{failure.paper if failure else '-'} | "
+                f"{result.failure_fraction_during_attack():.1%} | "
+                f"{measured_amplification} | {verdict(*cells)} |"
             )
         out("")
 
-        series_a = ddos["A"].outcomes_by_round()
-        cache_only = series_a[3]
-        expired = series_a[9]
         out("Figure 6–12 checkpoints:")
         out("")
-        out("| quantity | paper | measured |")
-        out("|---|---|---|")
-        out(
-            "| served during cache-only full outage (Fig 6a) | 35–70% | "
-            f"{cache_only['ok'] / sum(cache_only.values()):.0%} |"
+        header()
+        cell_rows(
+            (
+                "served during cache-only full outage (Fig 6a)",
+                "fig06.A.cache_only_ok",
+                ".0%",
+            ),
+            ("served after caches expire (Fig 6a)", "fig06.A.expired_ok", ".1%"),
         )
-        out(
-            "| served after caches expire (Fig 6a) | ~0.2% (serve-stale) | "
-            f"{expired['ok'] / sum(expired.values()):.1%} |"
+        h_mid, i_mid = latency_at(ddos["H"], 8), latency_at(ddos["I"], 8)
+        row(
+            "latency mid-attack, 30-min TTL (H) vs none (I)",
+            f"mean {h_mid.mean_ms:.0f} ms / median {h_mid.median_ms:.0f} ms "
+            f"vs mean {i_mid.mean_ms:.0f} ms / median {i_mid.median_ms:.0f} ms",
+            "fig09.I_over_H.median",
         )
-        h_latency = {row.round_index: row for row in ddos["H"].latency_series()}
-        i_latency = {row.round_index: row for row in ddos["I"].latency_series()}
-        out(
-            "| latency mid-attack, 30-min TTL (H) vs none (I) | ~390 ms vs "
-            "~1300 ms (§5.5) | "
-            f"mean {h_latency[8].mean_ms:.0f} ms / median {h_latency[8].median_ms:.0f} ms "
-            f"vs mean {i_latency[8].mean_ms:.0f} ms / median "
-            f"{i_latency[8].median_ms:.0f} ms |"
+        normal, attacked = per_probe_at(ddos["I"], 3), per_probe_at(ddos["I"], 8)
+        row(
+            "Fig 11 Rn-per-probe median, normal→attack",
+            f"{normal.rn_median:.0f}→{attacked.rn_median:.0f}",
+            "fig11.I.rn_median",
         )
-        per_probe = {row.round_index: row for row in ddos["I"].per_probe()}
-        out(
-            "| Fig 11 Rn-per-probe median, normal→attack | 1→2 | "
-            f"{per_probe[3].rn_median:.0f}→{per_probe[8].rn_median:.0f} |"
+        row(
+            "Fig 11 queries-per-probe p90, normal→attack",
+            f"{normal.queries_p90:.0f}→{attacked.queries_p90:.0f}",
+            "fig11.I.queries_p90_growth",
         )
-        out(
-            "| Fig 11 queries-per-probe p90, normal→attack | 3→18 | "
-            f"{per_probe[3].queries_p90:.0f}→{per_probe[8].queries_p90:.0f} |"
-        )
-        unique_rn = ddos["F"].unique_rn()
-        pre_mean = sum(unique_rn[r] for r in range(1, 6)) / 5
-        mid_mean = sum(unique_rn[r] for r in range(6, 12)) / 6
-        out(
-            "| Fig 12 unique Rn growth under attack (F) | grows | "
-            f"{pre_mean:.0f}→{mid_mean:.0f} per round |"
+        pre_mean, mid_mean = unique_rn_means(ddos["F"])
+        row(
+            "Fig 12 unique Rn growth under attack (F)",
+            f"{pre_mean:.0f}→{mid_mean:.0f} per round",
+            "fig12.F.rn_growth",
         )
         out("")
 
@@ -375,8 +330,6 @@ def build_report(
         with section("Flight recorder — client reliability vs authoritative load"):
             from repro.analysis.figures import sparkline
 
-            out("## Flight recorder — client reliability vs authoritative load")
-            out("")
             out(
                 "Sim-time telemetry timelines sampled every "
                 f"{timeline_interval:.0f} s by the flight recorder "
@@ -416,106 +369,93 @@ def build_report(
 
     # ------------------------------------------------------------------
     with section("Glue vs authoritative TTL (Appendix A) — Tables 5–6"):
-        out("## Glue vs authoritative TTL (Appendix A) — Tables 5–6")
-        out("")
-        out("| quantity | paper | measured |")
-        out("|---|---|---|")
-        out(
-            "| NS answers with child TTL | 94.4% | "
-            f"{glue.ns_buckets.child_fraction:.1%} |"
-        )
-        out(
-            "| A answers with child TTL | 95.0% | "
-            f"{glue.a_buckets.child_fraction:.1%} |"
+        header()
+        cell_rows(
+            ("NS answers with child TTL", "table5.ns_child", ".1%"),
+            ("A answers with child TTL", "table5.a_child", ".1%"),
         )
         for software in ("bind", "unbound"):
-            dump = cache_dumps[software]
-            out(
-                f"| {software} caches child NS TTL (3600 vs parent 172800) | "
-                f"yes (~3595) | "
-                f"{'yes' if dump.stored_child_value else 'NO'} ({dump.ns_cached_ttl}) |"
+            dump = runs[f"cache-dump-{software}"]
+            row(
+                f"{software} caches child NS TTL (3600 vs parent 172800)",
+                f"{'yes' if dump.stored_child_value else 'NO'} ({dump.ns_cached_ttl})",
+                f"table6.{software}.stored_child",
             )
         out("")
 
     # ------------------------------------------------------------------
     with section("Software retries (Appendix E) — Figure 16"):
-        out("## Software retries (Appendix E) — Figure 16")
-        out("")
-        out("| software | condition | paper total queries | measured |")
-        out("|---|---|---|---|")
-        for software in ("bind", "unbound"):
-            for attack in (False, True):
-                result = software_results[(software, attack)]
-                condition = "authoritatives dead" if attack else "normal"
-                out(
-                    f"| {software} | {condition} | "
-                    f"{PAPER_SOFTWARE[(software, attack)]} | "
-                    f"{result.total} (root {result.queries_root}, tld "
-                    f"{result.queries_tld}, target {result.queries_target}) |"
-                )
+        out("| software | condition | paper total queries | measured | verdict |")
+        out("|---|---|---|---|---|")
+        for software, attack in SOFTWARE_CELLS:
+            result = runs[software_run(software, attack)]
+            cell_id = f"fig16.{software}.{'attack' if attack else 'normal'}"
+            condition = "authoritatives dead" if attack else "normal"
+            row(
+                f"{software} | {condition}",
+                f"{result.total} (root {result.queries_root}, tld "
+                f"{result.queries_tld}, target {result.queries_target})",
+                cell_id,
+            )
         out("")
 
     # ------------------------------------------------------------------
     with section("Single-probe drill-down (Appendix F) — Table 7, Figure 17"):
-        out("## Single-probe drill-down (Appendix F) — Table 7, Figure 17")
-        out("")
+        probe = runs["probe-case"]
         summary = probe.amplification_summary()
-        normal_rows = [row for row in probe.rows if not row.during_attack]
-        attack_rows = [row for row in probe.rows if row.during_attack]
-        out("| quantity | paper | measured |")
-        out("|---|---|---|")
-        out(
-            "| topology | 3 R1, 8 Rn, 2 AT | "
+        normal_queries = [
+            interval.auth_queries
+            for interval in probe.rows
+            if not interval.during_attack
+        ]
+        attack_rows = [interval for interval in probe.rows if interval.during_attack]
+        header()
+        row(
+            "topology",
             f"{len(probe.r1_addresses)} R1, {len(probe.rn_addresses)} Rn, "
-            f"{len(probe.at_addresses)} AT |"
+            f"{len(probe.at_addresses)} AT",
+            "fig17.rn_count",
         )
-        out(
-            "| auth queries per interval, normal | 3–6 | "
-            f"{min(row.auth_queries for row in normal_rows)}–"
-            f"{max(row.auth_queries for row in normal_rows)} |"
+        row(
+            "auth queries per interval, normal",
+            f"{min(normal_queries)}–{max(normal_queries)}",
+            "table7.auth_normal_min",
+            "table7.auth_normal_max",
         )
-        out(
-            "| auth queries per interval, attack | 11–29 | "
-            f"{min(row.auth_queries for row in attack_rows)}–"
-            f"{max(row.auth_queries for row in attack_rows)} |"
+        attack_queries = [interval.auth_queries for interval in attack_rows]
+        row(
+            "auth queries per interval, attack",
+            f"{min(attack_queries)}–{max(attack_queries)}",
+            "table7.auth_attack_max",
         )
-        out(
-            "| client answers during attack | 2 of 3 | "
-            f"{sum(row.client_answers for row in attack_rows) / len(attack_rows):.1f}"
-            " of 3 |"
+        answers = sum(interval.client_answers for interval in attack_rows)
+        answers /= len(attack_rows)
+        row(
+            "client answers during attack",
+            f"{answers:.1f} of 3",
+            "table7.attack_answers",
         )
         normal_rate = summary["normal_queries_per_client_query"]
         attack_rate = summary["attack_queries_per_client_query"]
-        out(
-            "| amplification per client query | ~4–10x | "
-            f"{attack_rate / max(0.01, normal_rate):.1f}x |"
+        row(
+            "amplification per client query",
+            f"{attack_rate / max(0.01, normal_rate):.1f}x",
+            "table7.amplification",
         )
         out("")
 
     # ------------------------------------------------------------------
     out("## Production-zone caching (§4) — Figures 4–5")
     out("")
-    trace = generate_nl_trace(NlTraceConfig(recursive_count=2000, seed=seed))
-    medians = interarrival_medians(trace)
-    early = sum(1 for value in medians.values() if value < 3400) / len(medians)
-    counts = generate_ditl_counts(DitlConfig(recursive_count=20000, seed=seed))
-    cdfs = per_letter_cdf(counts)
-    out("| quantity | paper | measured |")
-    out("|---|---|---|")
-    out(
-        f"| .nl queries with Δt < 10 s | 28% | {close_query_fraction(trace):.0%} |"
-    )
-    out(f"| .nl resolvers refreshing early | 22% | {early:.0%} |")
-    out(
-        f"| root recursives sending 1 DS query/day | 87% | {cdfs['ALL'][0]:.0%} |"
-    )
-    out(
-        "| F-root recursives sending ≥5 | ~5% | "
-        f"{fraction_at_least(counts, 'F', 5):.1%} |"
-    )
-    out(
-        "| H-root recursives sending ≥5 | >10% | "
-        f"{fraction_at_least(counts, 'H', 5):.1%} |"
+    for name in ("nl-trace", "ditl"):
+        runs[name] = IN_PROCESS[name](seed)
+    header()
+    cell_rows(
+        (".nl queries with Δt < 10 s", "fig04.close_fraction", ".0%"),
+        (".nl resolvers refreshing early", "fig04.early_refresh", ".0%"),
+        ("root recursives sending 1 DS query/day", "fig05.single_query", ".0%"),
+        ("F-root recursives sending ≥5", "fig05.F.heavy", ".1%"),
+        ("H-root recursives sending ≥5", "fig05.H.heavy", ".1%"),
     )
     out("")
 

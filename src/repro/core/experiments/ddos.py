@@ -63,6 +63,17 @@ class DDoSSpec:
         start = self.ddos_start_min * 60.0
         return (start, start + self.ddos_duration_min * 60.0)
 
+    @property
+    def attack_rounds(self) -> List[int]:
+        """Indexes of the probing rounds that start inside the attack."""
+        start, end = self.attack_window
+        rounds = int(self.total_duration_min / self.probe_interval_min)
+        return [
+            index
+            for index in range(rounds)
+            if start <= index * self.round_seconds < end
+        ]
+
     def describe(self) -> str:
         which = "both NSes" if self.servers == "both" else "one NS"
         return (

@@ -95,6 +95,27 @@ class SweepResult:
         return None
 
 
+def sweep_spec(
+    ttl: int,
+    loss_fraction: float,
+    attack_start_min: float = 60.0,
+    attack_duration_min: float = 60.0,
+) -> DDoSSpec:
+    """One grid cell as a Table 4-style spec (10-minute probing rounds,
+    one round of tail after the attack)."""
+    return DDoSSpec(
+        key=f"sweep-{ttl}-{int(loss_fraction * 100)}",
+        ttl=ttl,
+        ddos_start_min=attack_start_min,
+        ddos_duration_min=attack_duration_min,
+        queries_before=int(attack_start_min // 10),
+        total_duration_min=attack_start_min + attack_duration_min + 10,
+        probe_interval_min=10,
+        loss_fraction=loss_fraction,
+        servers="both",
+    )
+
+
 def run_sweep(
     losses: Sequence[float] = (0.5, 0.75, 0.9),
     ttls: Sequence[int] = (60, 300, 1800),
@@ -124,17 +145,7 @@ def run_sweep(
     cells = [(ttl, loss) for ttl in ttls for loss in losses]
     requests = [
         ddos_request(
-            DDoSSpec(
-                key=f"sweep-{ttl}-{int(loss * 100)}",
-                ttl=ttl,
-                ddos_start_min=attack_start_min,
-                ddos_duration_min=attack_duration_min,
-                queries_before=int(attack_start_min // 10),
-                total_duration_min=attack_start_min + attack_duration_min + 10,
-                probe_interval_min=10,
-                loss_fraction=loss,
-                servers="both",
-            ),
+            sweep_spec(ttl, loss, attack_start_min, attack_duration_min),
             probe_count=probe_count,
             seed=seed,
             population=population,

@@ -12,8 +12,10 @@ embarrassingly parallel and perfectly cacheable:
   serial output.
 * :class:`DiskCache` is a content-addressed on-disk store keyed by a
   stable hash of the request plus a fingerprint of the ``repro`` source
-  tree, so reports, sweeps, and benchmarks skip already-computed runs
-  across sessions and automatically invalidate when the code changes.
+  tree, so reports, sweeps, and the paper scoreboard's batch
+  (:mod:`repro.analysis.scoreboard`: the report's battery plus the
+  extension runs, in ``benchmarks/``) skip already-computed runs across
+  sessions and automatically invalidate when the code changes.
 
 See DESIGN.md §7 for the architecture notes and §11 for the failure
 ladder, checkpoint/resume semantics, and executor telemetry.
