@@ -136,7 +136,7 @@ class NxnsAuthoritative(Host):
 
     def on_packet(self, packet: Packet) -> None:
         message = packet.message
-        if message.is_response or message.question is None:
+        if message.qr or message.question is None:
             return
         qname = message.question.qname
         if not qname.is_subdomain_of(self.apex) or qname == self.apex:

@@ -192,7 +192,7 @@ class RefusingResolver:
         from repro.dnscore.message import make_response
         from repro.dnscore.rrtypes import Rcode
 
-        if packet.message.is_response:
+        if packet.message.qr:
             return
         response = make_response(packet.message, rcode=Rcode.REFUSED)
         self.network.send(self.address, packet.src, response)

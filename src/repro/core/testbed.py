@@ -194,7 +194,7 @@ class World:
             def tap(packet) -> None:
                 message = packet.message
                 question = message.question
-                if message.is_response or question is None:
+                if message.qr or question is None:
                     return
                 record(
                     sim.now, packet.src, question.qname, question.qtype, server_name
@@ -205,7 +205,7 @@ class World:
         def sketch_tap(packet) -> None:
             message = packet.message
             question = message.question
-            if message.is_response or question is None:
+            if message.qr or question is None:
                 return
             sketch.update(packet.src)
             record(sim.now, packet.src, question.qname, question.qtype, server_name)

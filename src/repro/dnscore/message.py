@@ -95,9 +95,9 @@ class Message:
         self.ra = ra
         self.rcode = rcode
         self.question = question
-        self.answers: List[ResourceRecord] = list(answers or [])
-        self.authority: List[ResourceRecord] = list(authority or [])
-        self.additional: List[ResourceRecord] = list(additional or [])
+        self.answers: List[ResourceRecord] = list(answers) if answers else []
+        self.authority: List[ResourceRecord] = list(authority) if authority else []
+        self.additional: List[ResourceRecord] = list(additional) if additional else []
         # EDNS0 (RFC 6891): advertised UDP payload size; None = no OPT
         # pseudo-record (plain DNS, 512-byte limit).
         self.edns_payload = edns_payload
@@ -109,10 +109,6 @@ class Message:
     # ------------------------------------------------------------------
     # Interpretation helpers
     # ------------------------------------------------------------------
-    @property
-    def is_response(self) -> bool:
-        return self.qr
-
     def is_referral(self) -> bool:
         """A referral carries no answers, is not authoritative, and has
         NS records in the authority section (the paper's Appendix A)."""

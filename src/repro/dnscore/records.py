@@ -52,50 +52,60 @@ class A(Rdata):
 
 
 class AAAA(Rdata):
-    """IPv6 address record.
+    """IPv6 address record, kept as its 128-bit integer ``value``; the
+    text form is formatted only at the edge (:attr:`address`, ``repr``).
 
     The paper encodes measurement metadata inside AAAA rdata
     (prefix:serial:probeid:ttl); :meth:`fields` unpacks that layout.
     """
 
     rtype = RRType.AAAA
-    __slots__ = ("address",)
+    __slots__ = ("value",)
 
     def __init__(self, address: str) -> None:
-        self.address = str(ipaddress.IPv6Address(address))
+        self.value = int(ipaddress.IPv6Address(address))
+
+    @classmethod
+    def from_int(cls, value: int) -> "AAAA":
+        """Wrap an already-valid 128-bit address without parsing text."""
+        rdata = cls.__new__(cls)
+        rdata.value = value
+        return rdata
+
+    @property
+    def address(self) -> str:
+        return str(ipaddress.IPv6Address(self.value))
 
     def key(self) -> tuple:
-        return (self.address,)
+        return (self.value,)
 
     def packed(self) -> bytes:
-        return ipaddress.IPv6Address(self.address).packed
+        return self.value.to_bytes(16, "big")
 
     @classmethod
     def from_fields(
-        cls, prefix: str, serial: int, probe_id: int, ttl: int
+        cls, prefix: int, serial: int, probe_id: int, ttl: int
     ) -> "AAAA":
-        """Build the paper's instrumented answer: the low 64 bits carry
-        (serial, probe id, ttl) so the client can classify the answer.
+        """Build the paper's instrumented answer: the low 64 bits of the
+        ``prefix`` address value carry (serial, probe id, ttl) so the
+        client can classify the answer.
 
         Layout: serial (12 bits) | probe id (20 bits) | ttl (32 bits) —
         widened from the paper's 8/8/16 split so day-long TTLs and large
         probe populations fit.
         """
-        prefix_int = int(ipaddress.IPv6Address(prefix))
         if serial < 0 or serial > 0xFFF:
             raise ValueError(f"serial out of range: {serial}")
         if probe_id < 0 or probe_id > 0xFFFFF:
             raise ValueError(f"probe id out of range: {probe_id}")
         if ttl < 0 or ttl > 0xFFFFFFFF:
             raise ValueError(f"ttl out of range: {ttl}")
-        low = (serial << 52) | (probe_id << 32) | ttl
-        return cls(str(ipaddress.IPv6Address(prefix_int | low)))
+        return cls.from_int(prefix | (serial << 52) | (probe_id << 32) | ttl)
 
     def fields(self) -> Tuple[int, int, int]:
         """Decode (serial, probe_id, ttl) from the instrumented layout."""
-        value = int(ipaddress.IPv6Address(self.address))
-        low = value & ((1 << 64) - 1)
-        return ((low >> 52) & 0xFFF, (low >> 32) & 0xFFFFF, low & 0xFFFFFFFF)
+        value = self.value
+        return ((value >> 52) & 0xFFF, (value >> 32) & 0xFFFFF, value & 0xFFFFFFFF)
 
     def __repr__(self) -> str:
         return f"AAAA({self.address})"
@@ -285,7 +295,11 @@ class RRset:
         return min(record.ttl for record in self.records)
 
     def with_ttl(self, ttl: int) -> "RRset":
-        return RRset([record.with_ttl(ttl) for record in self.records])
+        # The members already share (name, type, class): skip the check.
+        copy = RRset.__new__(RRset)
+        copy.name, copy.rtype, copy.rclass = self.name, self.rtype, self.rclass
+        copy.records = [record.with_ttl(ttl) for record in self.records]
+        return copy
 
     def __len__(self) -> int:
         return len(self.records)

@@ -107,9 +107,7 @@ def _encode_rdata(
     """Append rdata preceded by its 16-bit length."""
     length_at = len(out)
     out += b"\x00\x00"  # placeholder
-    if isinstance(rdata, A):
-        out += rdata.packed()
-    elif isinstance(rdata, AAAA):
+    if isinstance(rdata, (A, AAAA)):
         out += rdata.packed()
     elif isinstance(rdata, (NS, CNAME)):
         _encode_name(rdata.target, out, offsets)
@@ -151,8 +149,7 @@ def _decode_rdata(
     if rtype == RRType.AAAA:
         if rdlength != 16:
             raise WireError(f"AAAA rdlength {rdlength} != 16")
-        groups = struct.unpack("!8H", data[offset:end])
-        return AAAA(":".join(f"{group:x}" for group in groups))
+        return AAAA.from_int(int.from_bytes(data[offset:end], "big"))
     if rtype in (RRType.NS, RRType.CNAME):
         target, consumed = _decode_name(data, offset)
         if consumed > end:
@@ -216,7 +213,7 @@ def upper_bound_size(message: Message) -> int:
     """
 
     def name_size(name: Name) -> int:
-        return sum(len(label) + 1 for label in name.labels) + 1
+        return sum(map(len, name.labels)) + len(name.labels) + 1
 
     def rdata_size(rdata) -> int:
         if isinstance(rdata, A):

@@ -140,7 +140,7 @@ ACTIONS = {
     "requery_parent": lambda task: task._requery_parent(),
     "chase_glue": lambda task: task._chase_glue(task.event_payload),
     "accept_referral": lambda task: task._accept_referral(task.event_payload),
-    "finish_answer": lambda task: task._finish_answer(task.event_payload),
+    "finish_answer": lambda task: task._finish(task.event_payload),
     "finish_nxdomain": lambda task: task._finish_nxdomain(task.event_payload),
     "finish_nodata": lambda task: task._finish_nodata(task.event_payload),
     "finish_stale": lambda task: task._finish_stale(),

@@ -52,11 +52,9 @@ class PerHostLatency(LatencyModel):
             raise ValueError("base delay must be non-negative")
         self._base[address] = base
 
-    def base_of(self, address: str) -> float:
-        return self._base.get(address, self.default_base)
-
     def one_way(self, src: str, dst: str, rng: random.Random) -> float:
-        base = self.base_of(src) + self.base_of(dst)
+        bases, default = self._base, self.default_base
+        base = bases.get(src, default) + bases.get(dst, default)
         if self.jitter <= 0:
             return base
         return base * (1.0 + rng.random() * self.jitter)

@@ -11,7 +11,7 @@ but is not run per packet.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dnscore.message import Message
 from repro.netem.attack import AttackSchedule
@@ -90,6 +90,8 @@ class Network:
         self.counters = NetworkCounters()
         self._handlers: Dict[str, ReceiveHandler] = {}
         self._anycast: Dict[str, List[str]] = {}
+        # (src, anycast address) -> instance; cleared when a group changes.
+        self._catchments: Dict[Tuple[str, str], str] = {}
         self._taps: Dict[str, List[ReceiveHandler]] = {}
         self._loss_rng = streams.stream("net.loss")
         self._latency_rng = streams.stream("net.latency")
@@ -110,12 +112,7 @@ class Network:
     def register_anycast(self, address: str, instances: List[str]) -> None:
         """Declare ``address`` as anycast over already-registered
         ``instances``. Catchment is stable per source (hash-based)."""
-        if not instances:
-            raise ValueError("anycast group needs at least one instance")
-        for instance in instances:
-            if instance not in self._handlers:
-                raise ValueError(f"anycast instance {instance} not registered")
-        self._anycast[address] = list(instances)
+        self._set_anycast(address, instances)
 
     def update_anycast(self, address: str, instances: List[str]) -> None:
         """Change an anycast group's live instances (route withdrawal /
@@ -123,12 +120,16 @@ class Network:
         shift the root operators performed during the 2015 events."""
         if address not in self._anycast:
             raise ValueError(f"{address} is not an anycast group")
+        self._set_anycast(address, instances)
+
+    def _set_anycast(self, address: str, instances: List[str]) -> None:
         if not instances:
             raise ValueError("anycast group needs at least one instance")
         for instance in instances:
             if instance not in self._handlers:
                 raise ValueError(f"anycast instance {instance} not registered")
         self._anycast[address] = list(instances)
+        self._catchments.clear()
 
     def anycast_catchment(self, src: str, address: str) -> str:
         """Which instance ``src`` currently lands on (for analysis)."""
@@ -149,15 +150,16 @@ class Network:
     # Sending
     # ------------------------------------------------------------------
     def _resolve_instance(self, src: str, dst: str) -> str:
-        instances = self._anycast.get(dst)
-        if instances is None:
-            return dst
-        # Stable catchment: the same source always lands on the same
-        # instance, as BGP catchments are stable in practice (§2.2).
-        # crc32 rather than hash() so runs are reproducible regardless of
-        # PYTHONHASHSEED.
-        index = zlib.crc32(f"{src}|{dst}".encode("ascii")) % len(instances)
-        return instances[index]
+        instance = self._catchments.get((src, dst))
+        if instance is None:
+            # Stable catchment: the same source always lands on the same
+            # instance, as BGP catchments are stable in practice (§2.2).
+            # crc32 rather than hash() so runs are reproducible regardless
+            # of PYTHONHASHSEED.
+            instances = self._anycast[dst]
+            index = zlib.crc32(f"{src}|{dst}".encode("ascii")) % len(instances)
+            instance = self._catchments[(src, dst)] = instances[index]
+        return instance
 
     def send(
         self, src: str, dst: str, message: Message, transport: str = "udp"
@@ -173,25 +175,29 @@ class Network:
         gauntlet is run twice (SYN and data segment both cross the
         congested inbound path).
         """
-        if transport not in ("udp", "tcp"):
+        tcp = transport == "tcp"
+        if not tcp and transport != "udp":
             raise ValueError(f"unknown transport {transport!r}")
-        self.counters.sent += 1
-        instance = self._resolve_instance(src, dst)
+        counters = self.counters
+        counters.sent += 1
+        now = self.sim.now
+        instance = self._resolve_instance(src, dst) if dst in self._anycast else dst
+        packet = None
         taps = self._taps.get(instance)
         if taps:
-            packet = Packet(src, dst, message, self.sim.now, transport)
+            packet = Packet(src, dst, message, now, transport)
             for tap in taps:
                 tap(packet)
         handler = self._handlers.get(instance)
         if handler is None:
             # Unroutable destinations silently blackhole, like real UDP.
-            self.counters.dropped_baseline += 1
+            counters.dropped_baseline += 1
             return False
 
-        loss_trials = 2 if transport == "tcp" else 1
+        loss_trials = 2 if tcp else 1
         for _ in range(loss_trials):
             if self.baseline_loss and self._loss_rng.random() < self.baseline_loss:
-                self.counters.dropped_baseline += 1
+                counters.dropped_baseline += 1
                 if self._trace is not None and message.trace_id is not None:
                     self._trace.emit(
                         message.trace_id,
@@ -201,13 +207,14 @@ class Network:
                     )
                 return False
 
-        one_way = self.latency.one_way(src, instance, self._latency_rng)
-        delay = one_way * (3 if transport == "tcp" else 1)
-        arrival = self.sim.now + delay
+        delay = self.latency.one_way(src, instance, self._latency_rng)
+        if tcp:
+            delay *= 3
+        arrival = now + delay
         attack_loss = self.attacks.inbound_loss(instance, arrival)
         for _ in range(loss_trials):
             if attack_loss and self._loss_rng.random() < attack_loss:
-                self.counters.dropped_attack += 1
+                counters.dropped_attack += 1
                 if self._trace is not None and message.trace_id is not None:
                     self._trace.emit(
                         message.trace_id,
@@ -222,7 +229,8 @@ class Network:
         if queue_mean > 0:
             delay += self._latency_rng.expovariate(1.0 / queue_mean)
 
-        packet = Packet(src, dst, message, self.sim.now, transport)
+        if packet is None:
+            packet = Packet(src, dst, message, now, transport)
         self.sim.call_later(delay, self._deliver, handler, packet)
         return True
 

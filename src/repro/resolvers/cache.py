@@ -154,12 +154,26 @@ class DnsCache:
         configured (they may still satisfy :meth:`get_stale`), otherwise
         dropped.
         """
+        entry = self._fresh_entry(name, rtype, now, require_authoritative)
+        if entry is None:
+            return None
+        return entry.rrset.with_ttl(entry.remaining_ttl(now))
+
+    def get_stored(self, name: Name, rtype: RRType, now: float) -> Optional[RRset]:
+        """:meth:`get` without the copy (same hit/miss/LRU accounting): the
+        stored RRset, TTLs as inserted — read it, never serve or mutate it."""
+        entry = self._fresh_entry(name, rtype, now, False)
+        return None if entry is None else entry.rrset
+
+    def _fresh_entry(
+        self, name: Name, rtype: RRType, now: float, require_authoritative: bool
+    ) -> Optional[CacheEntry]:
         key = (name, rtype)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        if not entry.is_fresh(now):
+        if now >= entry.expires_at:
             if self.config.stale_window <= 0:
                 del self._entries[key]
             self.misses += 1
@@ -169,7 +183,7 @@ class DnsCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry.rrset.with_ttl(entry.remaining_ttl(now))
+        return entry
 
     def peek(self, name: Name, rtype: RRType) -> Optional[CacheEntry]:
         """Entry regardless of freshness; no statistics, no LRU touch."""

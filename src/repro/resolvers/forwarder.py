@@ -101,7 +101,7 @@ class ForwardingResolver(Host):
 
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
-        if packet.message.is_response:
+        if packet.message.qr:
             self._on_upstream_response(packet)
         else:
             self._on_client_query(packet)

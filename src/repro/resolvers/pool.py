@@ -107,7 +107,7 @@ class PublicResolverPool(Host):
 
     def on_packet(self, packet: Packet) -> None:
         message = packet.message
-        if message.is_response or message.question is None:
+        if message.qr or message.question is None:
             return
         self.client_queries += 1
         if self._metrics is not None:

@@ -225,7 +225,7 @@ class RecursiveResolver(Host):
     # Network entry points
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
-        if packet.message.is_response:
+        if packet.message.qr:
             self._on_upstream_response(packet)
         else:
             self._on_client_query(packet)
@@ -706,25 +706,19 @@ class _ResolutionTask:
         self, now: float
     ) -> Tuple[Name, List[Name], List[str], List[Name]]:
         """Deepest usable zone cut: (cut, ns targets, addresses, missing)."""
-        for ancestor in self.qname.ancestors():
-            if ancestor.is_root:
-                break
+        for ancestor in self.qname.ancestors()[:-1]:  # every cut but the root
             if self.skip_cut_once is not None and ancestor == self.skip_cut_once:
                 continue
-            ns_rrset = self.r.cache.get(ancestor, RRType.NS, now)
+            ns_rrset = self.r.cache.get_stored(ancestor, RRType.NS, now)
             if ns_rrset is None:
                 continue
-            targets = [
-                record.rdata.target
-                for record in ns_rrset
-                if isinstance(record.rdata, NS)
-            ]
+            targets = [r.rdata.target for r in ns_rrset.records if isinstance(r.rdata, NS)]
             addresses: List[str] = []
             missing: List[Name] = []
             for target in targets:
-                a_rrset = self.r.cache.get(target, RRType.A, now)
+                a_rrset = self.r.cache.get_stored(target, RRType.A, now)
                 if a_rrset is not None:
-                    addresses.extend(record.rdata.address for record in a_rrset)
+                    addresses.extend(r.rdata.address for r in a_rrset.records)
                 elif self.r.negcache.get(target, RRType.A, now) is None:
                     missing.append(target)
             if addresses or missing:
@@ -946,9 +940,6 @@ class _ResolutionTask:
             )
         self.r.remember_servfail(self.qname, self.qtype)
         self._finish(Outcome(Outcome.SERVFAIL))
-
-    def _finish_answer(self, outcome: Outcome) -> None:
-        self._finish(outcome)
 
     def _finish_nxdomain(self, message: Message) -> None:
         self._finish(Outcome(Outcome.NXDOMAIN))

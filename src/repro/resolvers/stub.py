@@ -181,7 +181,7 @@ class StubResolver(Host):
 
     def on_packet(self, packet: Packet) -> None:
         message = packet.message
-        if not message.is_response:
+        if not message.qr:
             return
         answer = self._pending.pop(message.msg_id, None)
         if answer is None:

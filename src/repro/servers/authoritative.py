@@ -77,7 +77,7 @@ class AuthoritativeServer(Host):
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
         message = packet.message
-        if message.is_response or message.question is None:
+        if message.qr or message.question is None:
             return
         if message.opcode != Opcode.QUERY:
             response = make_response(message, rcode=Rcode.NOTIMP)

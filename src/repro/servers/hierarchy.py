@@ -11,7 +11,7 @@ referral-vs-answer precedence question of Appendix A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.dnscore.name import Name
 from repro.dnscore.records import AAAA, NS, SOA, A, ResourceRecord
@@ -100,48 +100,32 @@ def _primary_ns_name(spec: ZoneSpec) -> Name:
 
 
 def _closest_parent(origin: Name, zones: Dict[Name, Zone]) -> Optional[Name]:
-    if origin.is_root:
-        return None
-    candidate = origin.parent()
-    while True:
+    for candidate in origin.ancestors()[1:]:
         if candidate in zones:
             return candidate
-        if candidate.is_root:
-            return None
-        candidate = candidate.parent()
+    return None
 
 
-def attach_probe_synthesizer(
-    zone: Zone,
-    prefix: str,
-    answer_ttl: int,
-    parse_probe_id: Optional[Callable[[str], Optional[int]]] = None,
-) -> None:
+def attach_probe_synthesizer(zone: Zone, prefix: str, answer_ttl: int) -> None:
     """Make ``zone`` answer ``{probeid}.<origin>`` AAAA queries.
 
     The answer encodes (current zone serial, probe id, configured TTL)
     in the rdata, exactly like the paper's instrumented zone (§3.2), so
     client-side classification can tell cached from fresh answers.
     """
-
-    def default_parser(label: str) -> Optional[int]:
-        try:
-            return int(label)
-        except ValueError:
-            return None
-
-    parser = parse_probe_id or default_parser
+    prefix_value = AAAA(prefix).value
 
     def synthesize(qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
         labels = qname.relativize(zone.origin)
         if len(labels) != 1:
             return None
-        probe_id = parser(labels[0])
-        if probe_id is None:
+        try:
+            probe_id = int(labels[0])
+        except ValueError:
             return None
         if qtype != RRType.AAAA:
             return []  # name exists, no data of this type
-        rdata = AAAA.from_fields(prefix, zone.serial & 0xFFF, probe_id, answer_ttl)
+        rdata = AAAA.from_fields(prefix_value, zone.serial & 0xFFF, probe_id, answer_ttl)
         return [ResourceRecord(qname, answer_ttl, rdata)]
 
     zone.synthesizer = synthesize

@@ -93,3 +93,61 @@ CacheMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
 TestCacheStateful = CacheMachine.TestCase
+
+
+class TwinReadMachine(RuleBasedStateMachine):
+    """``get_stored`` and ``get`` over one operation sequence on twin caches.
+
+    The no-copy read must keep the exact accounting of ``get``: the same
+    hits and misses, the same LRU order, the same evictions. The small
+    capacity forces evictions; the stale window keeps expired entries
+    around so the expiry branch is exercised both ways.
+    """
+
+    def __init__(self):
+        super().__init__()
+        config = CacheConfig(max_entries=3, max_ttl=MAX_TTL_CAP, stale_window=50.0)
+        self.copying = DnsCache(config)
+        self.stored = DnsCache(config)
+        self.now = 0.0
+
+    @rule(
+        index=st.integers(0, len(NAMES) - 1),
+        ttl=st.integers(0, 1000),
+        octet=st.integers(1, 254),
+        authoritative=st.booleans(),
+    )
+    def put(self, index, ttl, octet, authoritative):
+        rrset = RRset([ResourceRecord(NAMES[index], ttl, A(f"192.0.2.{octet}"))])
+        self.copying.put(rrset, self.now, authoritative=authoritative)
+        self.stored.put(rrset, self.now, authoritative=authoritative)
+
+    @rule(index=st.integers(0, len(NAMES) - 1))
+    def read(self, index):
+        name = NAMES[index]
+        copied = self.copying.get(name, RRType.A, self.now)
+        stored = self.stored.get_stored(name, RRType.A, self.now)
+        assert (copied is None) == (stored is None)
+        if stored is not None:
+            assert stored is self.stored.peek(name, RRType.A).rrset
+            assert [r.rdata for r in stored] == [r.rdata for r in copied]
+
+    @rule(step=st.floats(min_value=0.0, max_value=300.0, allow_nan=False))
+    def advance(self, step):
+        self.now += step
+
+    @rule()
+    def flush(self):
+        self.copying.flush()
+        self.stored.flush()
+
+    @invariant()
+    def accounting_is_identical(self):
+        assert self.stored.stats() == self.copying.stats()
+        assert list(self.stored._entries) == list(self.copying._entries)
+
+
+TwinReadMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestGetStoredMatchesGet = TwinReadMachine.TestCase

@@ -20,6 +20,7 @@ from repro.dnscore.records import (
 from repro.dnscore.rrtypes import RRType
 
 OWNER = Name.from_text("example.nl.")
+PREFIX = AAAA("fd0f:3897:faf7:a375::").value
 
 
 def test_a_record_accepts_valid_address():
@@ -43,18 +44,17 @@ def test_rdata_equality_and_hash():
 
 
 def test_instrumented_aaaa_roundtrip():
-    rdata = AAAA.from_fields("fd0f:3897:faf7:a375::", 7, 28477, 3600)
+    rdata = AAAA.from_fields(PREFIX, 7, 28477, 3600)
     assert rdata.fields() == (7, 28477, 3600)
 
 
 def test_instrumented_aaaa_range_checks():
-    prefix = "fd0f:3897:faf7:a375::"
     with pytest.raises(ValueError):
-        AAAA.from_fields(prefix, -1, 1, 60)
+        AAAA.from_fields(PREFIX, -1, 1, 60)
     with pytest.raises(ValueError):
-        AAAA.from_fields(prefix, 1, 2**20, 60)
+        AAAA.from_fields(PREFIX, 1, 2**20, 60)
     with pytest.raises(ValueError):
-        AAAA.from_fields(prefix, 1, 1, 2**32)
+        AAAA.from_fields(PREFIX, 1, 1, 2**32)
 
 
 @given(
@@ -63,8 +63,49 @@ def test_instrumented_aaaa_range_checks():
     ttl=st.integers(min_value=0, max_value=0xFFFFFFFF),
 )
 def test_property_instrumented_aaaa_roundtrip(serial, probe_id, ttl):
-    rdata = AAAA.from_fields("fd0f:3897:faf7:a375::", serial, probe_id, ttl)
+    rdata = AAAA.from_fields(PREFIX, serial, probe_id, ttl)
     assert rdata.fields() == (serial, probe_id, ttl)
+
+
+# (serial, probe id, ttl) -> the text the string-building encoder produced.
+INSTRUMENTED_TEXT = {
+    (7, 28477, 3600): "fd0f:3897:faf7:a375:70:6f3d:0:e10",
+    (0, 0, 0): "fd0f:3897:faf7:a375::",
+    (0xFFF, 0xFFFFF, 0xFFFFFFFF): "fd0f:3897:faf7:a375:ffff:ffff:ffff:ffff",
+    (1, 1414, 1800): "fd0f:3897:faf7:a375:10:586:0:708",
+}
+
+
+@pytest.mark.parametrize("fields, text", sorted(INSTRUMENTED_TEXT.items()))
+def test_instrumented_aaaa_matches_text_encoding(fields, text):
+    rdata = AAAA.from_fields(PREFIX, *fields)
+    assert rdata.address == text
+    assert repr(rdata) == f"AAAA({text})"
+    assert rdata.fields() == fields
+    parsed = AAAA(text)
+    assert parsed == rdata
+    assert hash(parsed) == hash(rdata)
+    assert parsed.fields() == fields
+
+
+@pytest.mark.parametrize("fields", sorted(INSTRUMENTED_TEXT))
+def test_instrumented_aaaa_wire_roundtrip(fields):
+    from repro.dnscore.message import make_query, make_response
+    from repro.dnscore.wire import from_wire, to_wire
+
+    qname = Name.from_text("1414.cachetest.nl.")
+    rdata = AAAA.from_fields(PREFIX, *fields)
+    response = make_response(
+        make_query(qname, RRType.AAAA),
+        answers=[ResourceRecord(qname, 60, rdata)],
+    )
+    decoded = from_wire(to_wire(response)).answers[0].rdata
+    assert decoded.value == rdata.value
+    assert decoded == rdata
+    assert decoded.fields() == fields
+    assert rdata.packed() == bytes.fromhex(
+        "fd0f3897faf7a375" + f"{rdata.value & (2**64 - 1):016x}"
+    )
 
 
 def test_soa_key_includes_all_fields():

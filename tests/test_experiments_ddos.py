@@ -141,3 +141,38 @@ def test_queue_only_attack_stretches_latency_not_reliability():
         result.failure_fraction_during_attack()
         < result.failure_fraction_before_attack() + 0.08
     )
+
+
+def test_probe_answers_never_parse_ipv6_text(monkeypatch):
+    """The AAAA answer path is integer arithmetic end to end: a whole
+    experiment-H run builds no ``IPv6Address`` in the records module
+    (one per answer was the biggest dnscore cost). Counted, not timed."""
+    import ipaddress
+    import types
+
+    from repro.core.testbed import Testbed
+    from repro.dnscore import records
+
+    constructed = []
+
+    def counting_ipv6(*args):
+        constructed.append(args)
+        return ipaddress.IPv6Address(*args)
+
+    run = Testbed.run
+
+    def counted_run(self, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                records,
+                "ipaddress",
+                types.SimpleNamespace(
+                    IPv4Address=ipaddress.IPv4Address, IPv6Address=counting_ipv6
+                ),
+            )
+            return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Testbed, "run", counted_run)
+    result = run_ddos(DDOS_EXPERIMENTS["H"], probe_count=16, seed=3)
+    assert any(answer.serial is not None for answer in result.answers)
+    assert constructed == []

@@ -204,3 +204,50 @@ def test_unregister_makes_address_unroutable():
     network.register("b", received.append)
     network.unregister("b")
     assert network.send("a", "b", make_query(QNAME, RRType.A)) is False
+
+
+def _landing(sim, network, hits, src):
+    """Send one packet from ``src`` to the anycast group; the instance hit."""
+    for packets in hits.values():
+        packets.clear()
+    network.send(src, "any", make_query(QNAME, RRType.A))
+    sim.run()
+    (instance,) = [key for key, packets in hits.items() if packets]
+    return instance
+
+
+def test_catchment_memo_follows_anycast_changes():
+    sim, network = make_network()
+    hits = {"i1": [], "i2": [], "i3": [], "i4": []}
+    for key in hits:
+        network.register(key, hits[key].append)
+    network.register_anycast("any", ["i1", "i2", "i3"])
+    src = "c7"
+    first = _landing(sim, network, hits, src)
+    assert first == network.anycast_catchment(src, "any")
+    assert _landing(sim, network, hits, src) == first  # served from the memo
+
+    # Withdraw the site this source is homed on: the next packet re-hashes.
+    network.update_anycast("any", [i for i in ("i1", "i2", "i3") if i != first])
+    rehashed = _landing(sim, network, hits, src)
+    assert rehashed != first
+    assert rehashed == network.anycast_catchment(src, "any")
+
+    # Re-declaring the group over one new site moves every source there.
+    network.register_anycast("any", ["i4"])
+    assert _landing(sim, network, hits, src) == "i4"
+    assert network.anycast_catchment(src, "any") == "i4"
+
+
+def test_tap_and_delivery_share_one_packet():
+    sim, network = make_network()
+    tapped, delivered = [], []
+    network.register("b", delivered.append)
+    network.register_tap("b", tapped.append)
+    network.send("a", "b", make_query(QNAME, RRType.A), transport="tcp")
+    sim.run()
+    assert len(tapped) == 1 and delivered == tapped
+    assert delivered[0] is tapped[0]
+    assert delivered[0].transport == "tcp"
+    with pytest.raises(ValueError):
+        network.send("a", "b", make_query(QNAME, RRType.A), transport="quic")

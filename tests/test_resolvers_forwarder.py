@@ -97,7 +97,7 @@ def test_forwarder_servfail_failover(world):
         def on_packet(self, packet):
             from repro.dnscore.message import make_response
 
-            if packet.message.is_response:
+            if packet.message.qr:
                 return
             self.network.send(
                 self.address,

@@ -58,7 +58,7 @@ def test_late_response_after_timeout_ignored(world):
         def on_packet(self, packet):
             from repro.dnscore.message import make_response
 
-            if packet.message.is_response:
+            if packet.message.qr:
                 return
             response = make_response(packet.message, ra=True)
             self.sim.call_later(
@@ -118,7 +118,7 @@ def test_servfail_recorded(world):
             network.register(address, self.on_packet)
 
         def on_packet(self, packet):
-            if packet.message.is_response:
+            if packet.message.qr:
                 return
             self.network.send(
                 self.address,

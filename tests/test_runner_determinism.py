@@ -131,3 +131,53 @@ def test_every_scenario_key_covered(battery_requests):
     assert set(DDOS_EXPERIMENTS) <= keys
     assert set(BASELINE_EXPERIMENTS) <= keys
     assert "det-defense" in keys
+
+
+_HASH_SEED_CHILD = """
+import pickle, sys
+sys.path[:0] = ["src", "."]
+from repro.core.experiments import DDOS_EXPERIMENTS
+from repro.runner import DiskCache, ddos_request, run_many
+from tests.test_runner_determinism import ddos_metrics
+cache = DiskCache(sys.argv[1])
+request = ddos_request(DDOS_EXPERIMENTS["H"], probe_count=60, seed=SEED)
+(result,) = run_many([request], jobs=1, cache=cache)
+with open(sys.argv[2], "wb") as stream:
+    pickle.dump((cache.hits, ddos_metrics(result)), stream)
+""".replace("SEED", str(SEED))
+
+
+def _metrics_in_child(hash_seed, cache_dir, out_path):
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_CHILD, str(cache_dir), str(out_path)],
+        check=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONHASHSEED=str(hash_seed)),
+    )
+    with open(out_path, "rb") as stream:
+        return pickle.load(stream)
+
+
+def test_cached_result_survives_a_new_hash_seed(tmp_path):
+    """A result written under one PYTHONHASHSEED and read under another
+    reads the same numbers as an in-process run — Figure 10's NS-address
+    kinds included, which depend on set lookups of pickled names."""
+    from repro.core.experiments import run_ddos
+
+    expected = ddos_metrics(run_ddos(DDOS_EXPERIMENTS["H"], probe_count=60, seed=SEED))
+    kinds = {kind for counts in expected["auth_load"].values() for kind in counts}
+    assert {"A-for-NS", "AAAA-for-NS"} <= kinds
+
+    hits, cold = _metrics_in_child(1, tmp_path / "cache", tmp_path / "cold.pkl")
+    assert hits == 0
+    hits, warm = _metrics_in_child(2, tmp_path / "cache", tmp_path / "warm.pkl")
+    assert hits == 1
+    assert cold == expected
+    assert warm["auth_load"] == expected["auth_load"]
+    assert warm == expected
