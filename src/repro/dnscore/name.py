@@ -6,7 +6,7 @@ lowercased form, while the original spelling is preserved for display.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
@@ -25,7 +25,7 @@ class Name:
     renders the absolute form with a trailing dot.
     """
 
-    __slots__ = ("labels", "_key", "_hash", "_above")
+    __slots__ = ("labels", "_key", "_hash")
 
     def __init__(self, labels: Iterable[str]) -> None:
         labels = tuple(labels)
@@ -40,7 +40,6 @@ class Name:
         self.labels: Tuple[str, ...] = labels
         self._key = tuple(label.lower() for label in labels)
         self._hash = hash(self._key)
-        self._above: Optional[Tuple[Name, ...]] = None
 
     def __reduce__(self):
         # Labels only: a pickled ``_hash`` is salted by another process.
@@ -110,7 +109,6 @@ class Name:
         parent.labels = self.labels[1:]
         parent._key = key = self._key[1:]
         parent._hash = hash(key)
-        parent._above = None
         return parent
 
     def child(self, label: str) -> "Name":
@@ -132,13 +130,14 @@ class Name:
         count = len(self.labels) - len(origin.labels)
         return self.labels[:count]
 
-    def ancestors(self) -> Tuple["Name", ...]:
-        """(self, parent, ..., root), the cache walk order; the part above
-        ``self`` is built once and kept (it holds no cycle back to self)."""
-        above = self._above
-        if above is None:
-            above = self._above = self.parent().ancestors() if self.labels else ()
-        return (self,) + above
+    def ancestors(self) -> Iterable["Name"]:
+        """Yield self, parent, ..., root — the cache walk order."""
+        name = self
+        while True:
+            yield name
+            if name.is_root:
+                return
+            name = name.parent()
 
 
 def root_name() -> Name:

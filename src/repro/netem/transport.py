@@ -182,10 +182,9 @@ class Network:
         counters.sent += 1
         now = self.sim.now
         instance = self._resolve_instance(src, dst) if dst in self._anycast else dst
-        packet = None
+        packet = Packet(src, dst, message, now, transport)
         taps = self._taps.get(instance)
         if taps:
-            packet = Packet(src, dst, message, now, transport)
             for tap in taps:
                 tap(packet)
         handler = self._handlers.get(instance)
@@ -198,14 +197,7 @@ class Network:
         for _ in range(loss_trials):
             if self.baseline_loss and self._loss_rng.random() < self.baseline_loss:
                 counters.dropped_baseline += 1
-                if self._trace is not None and message.trace_id is not None:
-                    self._trace.emit(
-                        message.trace_id,
-                        "drop_baseline",
-                        "net",
-                        detail=f"{src}->{dst}",
-                    )
-                return False
+                return self._dropped(message, "drop_baseline", src, dst)
 
         delay = self.latency.one_way(src, instance, self._latency_rng)
         if tcp:
@@ -215,24 +207,21 @@ class Network:
         for _ in range(loss_trials):
             if attack_loss and self._loss_rng.random() < attack_loss:
                 counters.dropped_attack += 1
-                if self._trace is not None and message.trace_id is not None:
-                    self._trace.emit(
-                        message.trace_id,
-                        "drop_attack",
-                        "net",
-                        detail=f"{src}->{instance}",
-                    )
-                return False
+                return self._dropped(message, "drop_attack", src, instance)
         # Survivors of an attack with queueing modeled wait in the
         # target's full buffers (paper §5.1's future-work extension).
         queue_mean = self.attacks.inbound_queue_delay(instance, arrival)
         if queue_mean > 0:
             delay += self._latency_rng.expovariate(1.0 / queue_mean)
 
-        if packet is None:
-            packet = Packet(src, dst, message, now, transport)
         self.sim.call_later(delay, self._deliver, handler, packet)
         return True
+
+    def _dropped(self, message: Message, kind: str, src: str, dst: str) -> bool:
+        """Trace a dropped packet (if traced); always False, ``send``'s result."""
+        if self._trace is not None and message.trace_id is not None:
+            self._trace.emit(message.trace_id, kind, "net", detail=f"{src}->{dst}")
+        return False
 
     def _deliver(self, handler: ReceiveHandler, packet: Packet) -> None:
         self.counters.delivered += 1

@@ -173,7 +173,7 @@ class DnsCache:
         if entry is None:
             self.misses += 1
             return None
-        if now >= entry.expires_at:
+        if not entry.is_fresh(now):
             if self.config.stale_window <= 0:
                 del self._entries[key]
             self.misses += 1

@@ -706,7 +706,9 @@ class _ResolutionTask:
         self, now: float
     ) -> Tuple[Name, List[Name], List[str], List[Name]]:
         """Deepest usable zone cut: (cut, ns targets, addresses, missing)."""
-        for ancestor in self.qname.ancestors()[:-1]:  # every cut but the root
+        for ancestor in self.qname.ancestors():
+            if ancestor.is_root:
+                break
             if self.skip_cut_once is not None and ancestor == self.skip_cut_once:
                 continue
             ns_rrset = self.r.cache.get_stored(ancestor, RRType.NS, now)

@@ -100,10 +100,7 @@ def _primary_ns_name(spec: ZoneSpec) -> Name:
 
 
 def _closest_parent(origin: Name, zones: Dict[Name, Zone]) -> Optional[Name]:
-    for candidate in origin.ancestors()[1:]:
-        if candidate in zones:
-            return candidate
-    return None
+    return next((c for c in origin.ancestors() if c != origin and c in zones), None)
 
 
 def attach_probe_synthesizer(zone: Zone, prefix: str, answer_ttl: int) -> None:

@@ -148,13 +148,26 @@ class QueryLog(RowSequence):
         return f"<QueryLog queries={len(self)} sources={len(self.src.values)}>"
 
     def __getstate__(self):
-        # Without ``qnames``: the qname column holds their labels, and
-        # rebuilding the names on load reads faster than unpickling them.
-        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "qnames"}
+        # The qname table travels as label tuples (already in the qname
+        # column); Name objects are rebuilt on load with fresh hashes.
+        return (
+            self.times,
+            self.src,
+            self.qname,
+            self.qtype,
+            self.server,
+            self._server_counts,
+        )
 
     def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
+        (
+            self.times,
+            self.src,
+            self.qname,
+            self.qtype,
+            self.server,
+            self._server_counts,
+        ) = state
         self.qnames = [Name(labels) for labels in self.qname.values]
 
     # ------------------------------------------------------------------
