@@ -2,11 +2,13 @@
 
 A single ``run_many`` batch runs the report's battery at its default
 sizes (600 baseline / 400 DDoS probes, seed 42) together with the
-extension runs, through the :class:`repro.runner.DiskCache` at
-``benchmarks/.runcache`` (``$REPRO_CACHE_DIR`` relocates it). A repeat
-session against unchanged code skips the simulations; any edit under
-``src/repro`` changes the code fingerprint and reruns them. Results with
-no run-request kind are computed in-process.
+extension runs (the anycast study included), through the
+:class:`repro.runner.DiskCache` at ``benchmarks/.runcache``
+(``$REPRO_CACHE_DIR`` relocates it). A repeat session against unchanged
+code skips every simulation; any edit under ``src/repro`` changes the
+code fingerprint and reruns them. The two synthetic §4 traces
+(``IN_PROCESS``) have no run-request kind and are regenerated here each
+session: they run no simulator and take about 0.15 s together.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks -q
 """

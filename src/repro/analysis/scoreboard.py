@@ -9,10 +9,11 @@ must fall in, and how that measurement is taken from *named results*
 The names resolve through three lists that everything shares:
 :func:`paper_requests` is the battery ``build_report`` runs,
 :func:`extension_requests` the ablation, queueing, TTL and sweep runs
-beyond the paper, and :data:`IN_PROCESS` the results with no run-request
-kind (synthetic traces, the anycast study). ``build_report`` prints each
-cell's paper text and verdict; ``benchmarks/test_paper.py`` asserts
-every cell at the report's default sizes.
+beyond the paper (the anycast study among them), and :data:`IN_PROCESS`
+the results with no run-request kind (the two synthetic traces).
+``build_report`` prints each cell's paper text and verdict;
+``benchmarks/test_paper.py`` asserts every cell at the report's default
+sizes.
 
 An ordering ("F fails more than E") is a cell on a difference with a
 band open at zero, so every cell is one number against one band.
@@ -627,11 +628,13 @@ def paper_requests(
 def extension_requests(seed: int = 42) -> List[Tuple[str, "RunRequest"]]:
     """Runs beyond the paper: defense ablations on Experiment H (250
     probes), Google-pool fan-out (300), zone TTL at 90% loss (250),
-    queueing delay (250) and the loss × TTL sweep (150)."""
+    queueing delay (250), the anycast study with and without route
+    withdrawal (250) and the loss × TTL sweep (150)."""
     from repro.clients.population import PopulationConfig
     from repro.clients.publicdns import default_public_services
+    from repro.core.experiments.anycast_study import AnycastSpec
     from repro.core.experiments.sweep import sweep_spec
-    from repro.runner import baseline_request, ddos_request
+    from repro.runner import anycast_request, baseline_request, ddos_request
 
     h = DDOS_EXPERIMENTS["H"]
 
@@ -669,6 +672,10 @@ def extension_requests(seed: int = 42) -> List[Tuple[str, "RunRequest"]]:
             ("H-queue", {"key": "Hq4", "queue_delay": 0.4}),
         )
     ]
+    named += [
+        (name, anycast_request(AnycastSpec(withdraw_after_min=after), 250, seed))
+        for name, after in (("anycast", None), ("anycast-withdrawn", 20))
+    ]
     sweep = [(ttl, loss) for ttl in SWEEP_TTLS for loss in SWEEP_LOSSES]
     named += [
         (sweep_run(*cell), ddos_request(sweep_spec(*cell, 40.0, 40.0), 150, seed))
@@ -689,17 +696,11 @@ def _ditl(seed: int) -> Any:
     return generate_ditl_counts(DitlConfig(recursive_count=20000, seed=seed))
 
 
-def _anycast(seed: int, withdraw_after_min: Optional[float] = None) -> Any:
-    from repro.core.experiments.anycast_study import AnycastSpec, run_anycast_study
-
-    spec = AnycastSpec(withdraw_after_min=withdraw_after_min)
-    return run_anycast_study(spec, probe_count=250, seed=seed)
-
-
-#: Results with no run-request kind, computed in the calling process.
+#: Results with no run-request kind, computed in the calling process:
+#: the two synthetic traces. They run no simulator and take about 0.15 s
+#: together, and a pickled copy of the ``.nl`` trace (2 MB) loads no
+#: faster than it regenerates.
 IN_PROCESS: Dict[str, Callable[[int], Any]] = {
     "nl-trace": _nl_trace,
     "ditl": _ditl,
-    "anycast": _anycast,
-    "anycast-withdrawn": lambda seed: _anycast(seed, withdraw_after_min=20),
 }

@@ -23,6 +23,7 @@ from repro.clients.paper_resolver_list import is_on_paper_list
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRType
 from repro.servers.querylog import QueryLog
+from repro.workloads.nl_trace import interarrivals
 
 
 class TraceFormatError(ValueError):
@@ -151,39 +152,18 @@ def analyze_trace(
     for time, src_id in zip(log.times, log.src.ids):
         times_by_id.setdefault(src_id, []).append(time)
     by_src = {log.src.values[src_id]: times for src_id, times in times_by_id.items()}
-
-    close = 0
-    total_deltas = 0
-    medians: List[float] = []
-    honoring = 0
-    early = 0
-    for times in by_src.values():
-        times.sort()
-        deltas = [b - a for a, b in zip(times, times[1:])]
-        total_deltas += len(deltas)
-        close += sum(1 for delta in deltas if delta < exclude_below)
-        if len(times) < min_queries:
-            continue
-        usable = sorted(delta for delta in deltas if delta >= exclude_below)
-        if not usable:
-            continue
-        median = usable[len(usable) // 2]
-        medians.append(median)
-        if median >= ttl * 0.9:
-            honoring += 1
-        else:
-            early += 1
-
-    analyzed = honoring + early
-    medians.sort()
+    gaps = interarrivals(by_src, min_queries, exclude_below)
+    medians = sorted(gaps.medians.values())
+    honoring = sum(1 for median in medians if median >= ttl * 0.9)
+    analyzed = len(medians)
     return TraceAnalysis(
         ttl=ttl,
         total_queries=len(log),
         sources=len(by_src),
         analyzed_sources=analyzed,
-        close_query_fraction=close / total_deltas if total_deltas else 0.0,
+        close_query_fraction=gaps.close_fraction,
         honoring_fraction=honoring / analyzed if analyzed else 0.0,
-        early_fraction=early / analyzed if analyzed else 0.0,
+        early_fraction=(analyzed - honoring) / analyzed if analyzed else 0.0,
         public_sources=sum(1 for src in by_src if is_on_paper_list(src)),
         median_of_medians=medians[len(medians) // 2] if medians else None,
     )

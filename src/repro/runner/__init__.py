@@ -32,6 +32,7 @@ from repro.runner.cache import (
 from repro.runner.executor import (
     ChaosFailure,
     RunRequest,
+    anycast_request,
     baseline_request,
     cache_dump_request,
     chaos_request,
@@ -57,6 +58,7 @@ __all__ = [
     "RunFailureError",
     "RunRequest",
     "TestbedSnapshot",
+    "anycast_request",
     "baseline_request",
     "cache_dump_request",
     "cache_key",

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.attackload import AttackLoadSpec
 from repro.clients.population import PopulationConfig
+from repro.core.experiments.anycast_study import AnycastSpec, run_anycast_study
 from repro.core.experiments.baseline import (
     BaselineSpec,
     run_baseline,
@@ -61,6 +62,7 @@ KIND_GLUE = "glue"
 KIND_CACHE_DUMP = "cache_dump"
 KIND_SOFTWARE = "software"
 KIND_PROBE_CASE = "probe_case"
+KIND_ANYCAST = "anycast"
 KIND_CHAOS = "chaos"
 
 #: Process-wide default registry for executor telemetry. ``run_many``
@@ -180,6 +182,12 @@ def probe_case_request(seed: int = 11, **options: Any) -> RunRequest:
     )
 
 
+def anycast_request(
+    spec: AnycastSpec, probe_count: int = 300, seed: int = 42
+) -> RunRequest:
+    return RunRequest(KIND_ANYCAST, spec, probe_count, seed)
+
+
 def chaos_request(
     mode: str = "raise",
     seed: int = 0,
@@ -277,6 +285,10 @@ def execute_request(request: RunRequest) -> Any:
         from repro.core.experiments.probe_case import run_probe_case
 
         result = run_probe_case(seed=request.seed, **request.option_kwargs())
+    elif kind == KIND_ANYCAST:
+        result = run_anycast_study(
+            request.spec, probe_count=request.probe_count, seed=request.seed
+        )
     elif kind == KIND_CHAOS:
         result = _run_chaos(request.seed, request.option_kwargs())
     else:

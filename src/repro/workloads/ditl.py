@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional
 
 ROOT_LETTERS = ("A", "B", "C", "D", "E", "F", "H", "I", "J", "K", "L", "M")
@@ -53,7 +54,9 @@ def generate_ditl_counts(
     letter_weights["F"] = 0.5
     letter_weights["H"] = 3.2
     letters = list(letter_weights)
-    weights = [letter_weights[letter] for letter in letters]
+    # choices() reads one random() per item drawn, so one k-item call
+    # draws exactly what k one-item calls would.
+    cum_weights = list(accumulate(letter_weights.values()))
 
     for index in range(config.recursive_count):
         src = f"rec-{index}"
@@ -71,12 +74,8 @@ def generate_ditl_counts(
             while rng.random() > config.geometric_p and total < 500:
                 total += 1
         per_letter: Dict[str, int] = {}
-        if total == 1:
-            per_letter[rng.choices(letters, weights)[0]] = 1
-        else:
-            for _ in range(total):
-                letter = rng.choices(letters, weights)[0]
-                per_letter[letter] = per_letter.get(letter, 0) + 1
+        for letter in rng.choices(letters, cum_weights=cum_weights, k=total):
+            per_letter[letter] = per_letter.get(letter, 0) + 1
         result[src] = per_letter
     return result
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceQuery:
     """One passive-trace row: who asked which nameserver name, when."""
 
@@ -136,8 +137,52 @@ def generate_nl_trace(config: Optional[NlTraceConfig] = None) -> List[TraceQuery
         0.2,
         out,
     )
-    out.sort(key=lambda query: query.time)
+    out.sort(key=attrgetter("time"))
     return out
+
+
+class Interarrivals(NamedTuple):
+    """The paper's §4.1 reading of a trace (see :func:`interarrivals`)."""
+
+    medians: Dict[str, float]
+    close: int
+    total: int
+
+    @property
+    def close_fraction(self) -> float:
+        return self.close / self.total if self.total else 0.0
+
+
+def interarrivals(
+    times_by_src: Dict[str, List[float]],
+    min_queries: int = 5,
+    exclude_below: float = 10.0,
+) -> Interarrivals:
+    """Per-source inter-arrival times, the paper's §4.1 method.
+
+    Sorts each source's query times in place and counts its gaps
+    (``total``) and those below ``exclude_below`` seconds (``close``:
+    parallel queries, not caching). A source with at least
+    ``min_queries`` queries and one gap left gets the median of the rest.
+    """
+    medians: Dict[str, float] = {}
+    close = total = 0
+    for src, times in times_by_src.items():
+        times.sort()
+        deltas = [later - earlier for earlier, later in zip(times, times[1:])]
+        kept = sorted(delta for delta in deltas if delta >= exclude_below)
+        total += len(deltas)
+        close += len(deltas) - len(kept)
+        if kept and len(times) >= min_queries:
+            medians[src] = kept[len(kept) // 2]
+    return Interarrivals(medians, close, total)
+
+
+def _times_by_src(trace: List[TraceQuery]) -> Dict[str, List[float]]:
+    by_src: Dict[str, List[float]] = {}
+    for query in trace:
+        by_src.setdefault(query.src, []).append(query.time)
+    return by_src
 
 
 def interarrival_medians(
@@ -145,30 +190,8 @@ def interarrival_medians(
     min_queries: int = 5,
     exclude_below: float = 10.0,
 ) -> Dict[str, float]:
-    """Median inter-arrival per recursive (the paper's Figure 4 series).
-
-    Mirrors the paper's filtering: only recursives with at least
-    ``min_queries`` queries, and closely-timed queries (Δ below
-    ``exclude_below`` seconds — parallel queries, not caching) excluded.
-    """
-    by_src: Dict[str, List[float]] = {}
-    for query in trace:
-        by_src.setdefault(query.src, []).append(query.time)
-    medians: Dict[str, float] = {}
-    for src, times in by_src.items():
-        if len(times) < min_queries:
-            continue
-        times.sort()
-        deltas = [
-            later - earlier
-            for earlier, later in zip(times, times[1:])
-            if later - earlier >= exclude_below
-        ]
-        if not deltas:
-            continue
-        deltas.sort()
-        medians[src] = deltas[len(deltas) // 2]
-    return medians
+    """Median inter-arrival per recursive (the paper's Figure 4 series)."""
+    return interarrivals(_times_by_src(trace), min_queries, exclude_below).medians
 
 
 def close_query_fraction(
@@ -176,15 +199,4 @@ def close_query_fraction(
 ) -> float:
     """Fraction of queries with per-source Δt below ``threshold`` (the
     paper's ~28% of frequent, parallel queries)."""
-    by_src: Dict[str, List[float]] = {}
-    for query in trace:
-        by_src.setdefault(query.src, []).append(query.time)
-    close = 0
-    total = 0
-    for times in by_src.values():
-        times.sort()
-        for earlier, later in zip(times, times[1:]):
-            total += 1
-            if later - earlier < threshold:
-                close += 1
-    return close / total if total else 0.0
+    return interarrivals(_times_by_src(trace), exclude_below=threshold).close_fraction

@@ -181,3 +181,31 @@ def test_cached_result_survives_a_new_hash_seed(tmp_path):
     assert cold == expected
     assert warm["auth_load"] == expected["auth_load"]
     assert warm == expected
+
+
+def test_cached_anycast_study_reads_the_same_cells(tmp_path):
+    """The anycast study is a run-request kind: a warm ``run_many``
+    reads its result back from disk with the scoreboard's cell values
+    unchanged."""
+    from repro.analysis.scoreboard import CELL
+    from repro.core.experiments.anycast_study import AnycastSpec
+    from repro.runner import anycast_request
+
+    requests = [
+        anycast_request(AnycastSpec(), probe_count=60, seed=SEED),
+        anycast_request(AnycastSpec(withdraw_after_min=20), probe_count=60, seed=SEED),
+    ]
+    cells = [
+        CELL[f"anycast.{name}"] for name in ("attacked", "healthy", "withdrawal")
+    ]
+
+    def values(results):
+        runs = dict(zip(("anycast", "anycast-withdrawn"), results))
+        return [cell.evaluate(runs) for cell in cells]
+
+    cache = DiskCache(tmp_path)
+    cold = values(run_many(requests, jobs=1, cache=cache))
+    assert (cache.hits, cache.misses) == (0, 2)
+    warm = values(run_many(requests, jobs=1, cache=cache))
+    assert cache.hits == 2
+    assert warm == cold

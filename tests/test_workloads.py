@@ -1,5 +1,8 @@
 """Unit tests for the synthetic passive-trace generators (§4)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.workloads.ditl import (
@@ -110,3 +113,36 @@ def test_generators_deterministic():
     assert generate_ditl_counts(DitlConfig(recursive_count=100, seed=3)) == (
         generate_ditl_counts(DitlConfig(recursive_count=100, seed=3))
     )
+
+
+# The exact draws of both generators, pinned as sha256 digests of a
+# canonical JSON. A rewrite of either generator must reproduce every
+# number (and, for DITL, each recursive's per-letter key order), because
+# the report's Figure 4/5 cells read them.
+DITL_GOLDEN = {
+    42: "67e9d34beda73c6f2577fb08937c7b8624572e1e2bd8f21b433a082a9aed546c",
+    7: "874c06402a124cc568770772669b730bb1a8e6564a629506572ebab56c275d0c",
+}
+NL_TRACE_GOLDEN = {
+    42: "1a7e432a0a138c13799216f681e38cb97333a7feecb9c953824035f04d80c4ff",
+    7: "5661fc9d7df5e3133fa2851648835567bbe0f2b86012691e50902c0e17408207",
+}
+
+
+def _digest(rows) -> str:
+    canonical = json.dumps(rows, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(DITL_GOLDEN))
+def test_ditl_counts_match_golden_draws(seed):
+    counts = generate_ditl_counts(DitlConfig(recursive_count=20000, seed=seed))
+    rows = [[src, list(per_letter.items())] for src, per_letter in counts.items()]
+    assert _digest(rows) == DITL_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(NL_TRACE_GOLDEN))
+def test_nl_trace_matches_golden_draws(seed):
+    trace = generate_nl_trace(NlTraceConfig(recursive_count=2000, seed=seed))
+    rows = [[query.time, query.src, query.qname] for query in trace]
+    assert _digest(rows) == NL_TRACE_GOLDEN[seed]
