@@ -96,8 +96,10 @@ def build_report(
         )
 
     # Real wall-clock on purpose: the report footer tells the operator
-    # how long the battery took; CI diffs exclude the footer line.
+    # how long the battery took, and how much of it the run cache
+    # served; CI diffs exclude the footer line.
     started = time.time()  # repro-lint: allow[determinism]
+    hits_before = cache.hits if cache is not None else 0
     lines: List[str] = []
     out = lines.append
     failures: List[RunFailure] = []
@@ -142,6 +144,7 @@ def build_report(
         result for result in battery_results if isinstance(result, RunFailure)
     )
     runs: Dict[str, Any] = dict(zip(names, battery_results))
+    run_count = len(requests)
     baselines = {key: runs[f"baseline-{key}"] for key in BASELINE_EXPERIMENTS}
     ddos = {key: runs[f"ddos-{key}"] for key in DDOS_EXPERIMENTS}
     cell_values: Dict[str, float] = {}
@@ -471,6 +474,7 @@ def build_report(
             keep_going=keep_going,
         )
         failures.extend(study.failures)
+        run_count += len(study.cells) + len(study.failures)
         out("## Layered authoritative defenses (beyond the paper)")
         out("")
         out(
@@ -511,6 +515,11 @@ def build_report(
         failure_ledger.extend(failures)
 
     elapsed = time.time() - started  # repro-lint: allow[determinism]
-    out(f"_Full battery regenerated in {elapsed:.0f} s of wall-clock time._")
+    cached = cache.hits - hits_before if cache is not None else 0
+    out(
+        f"_Full battery regenerated in {elapsed:.0f} s of wall-clock time: "
+        f"{run_count - cached} runs simulated, {cached} read from the run "
+        "cache._"
+    )
     out("")
     return "\n".join(lines)

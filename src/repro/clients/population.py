@@ -39,7 +39,7 @@ from repro.resolvers.forwarder import ForwarderConfig, ForwardingResolver
 from repro.resolvers.pool import PoolConfig, PublicResolverPool
 from repro.resolvers.recursive import RecursiveResolver, ResolverConfig
 from repro.resolvers.retry import forwarder_profile
-from repro.resolvers.stub import StubAnswer, StubResolver
+from repro.resolvers.stub import AnswerLog, StubResolver
 from repro.simcore.rng import RandomStreams
 from repro.simcore.simulator import Simulator
 
@@ -109,7 +109,7 @@ class Population:
         sim: Simulator,
         config: PopulationConfig,
         probes: List[Probe],
-        results: List[StubAnswer],
+        results: AnswerLog,
         registry: ResolverRegistry,
         recursives: List[RecursiveResolver],
         forwarders: List[ForwardingResolver],
@@ -238,7 +238,8 @@ def build_population(
     allocator = allocator or default_allocator()
     registry = ResolverRegistry()
     rng = streams.stream("population")
-    results: List[StubAnswer] = []
+    # One log for every stub: a row per VP query, in the order sent.
+    results = AnswerLog()
     origin = zone_origin or Name.from_text("cachetest.nl.")
 
     recursives: List[RecursiveResolver] = []

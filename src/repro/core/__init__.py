@@ -15,6 +15,7 @@ from repro.core.classification import (
     AnswerClass,
     ClassificationTable,
     ClassifiedAnswer,
+    ClassifiedLog,
     RotationSchedule,
     classify_answers,
     classify_misses_by_resolver,
@@ -31,6 +32,7 @@ __all__ = [
     "AnswerClass",
     "ClassificationTable",
     "ClassifiedAnswer",
+    "ClassifiedLog",
     "LatencyQuantiles",
     "RotationSchedule",
     "Testbed",

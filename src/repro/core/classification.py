@@ -21,12 +21,16 @@ CA      cache                      authoritative (extended /
 from __future__ import annotations
 
 import enum
+import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.clients.publicdns import ResolverRegistry
+from repro.columns import RowSequence, round_indexes, widened
 from repro.dnscore.name import Name
-from repro.resolvers.stub import StubAnswer
+from repro.resolvers.stub import OK_CODE, AnswerLog, StubAnswer, optional_value
 from repro.servers.querylog import QueryLog
 
 
@@ -54,9 +58,21 @@ class AnswerClass(enum.Enum):
     CA = "CA"
 
 
-@dataclass
+#: Answer classes by the id a :class:`ClassifiedLog` stores, and the ids.
+CLASSES: Tuple[AnswerClass, ...] = (
+    AnswerClass.WARMUP,
+    AnswerClass.AA,
+    AnswerClass.CC,
+    AnswerClass.AC,
+    AnswerClass.CA,
+)
+WARMUP_ID, AA_ID, CC_ID, AC_ID, CA_ID = range(len(CLASSES))
+
+
+@dataclass(frozen=True)
 class ClassifiedAnswer:
-    """One valid answer with its class and manipulation markers."""
+    """One valid answer with its class and manipulation markers: the
+    read-only row a :class:`ClassifiedLog` builds per access."""
 
     answer: StubAnswer
     answer_class: AnswerClass
@@ -66,6 +82,96 @@ class ClassifiedAnswer:
     @property
     def time(self) -> float:
         return self.answer.sent_at
+
+
+class ClassifiedLog(RowSequence):
+    """The classified answers of a run, as four columns over its answers.
+
+    ``rows`` indexes the :class:`~repro.resolvers.stub.AnswerLog` held in
+    ``answers``; ``classes`` holds ids into :data:`CLASSES`;
+    ``ttl_altered`` and ``serial_decreased`` are 0/1 flags. As a
+    sequence it yields :class:`ClassifiedAnswer` rows, built per access.
+    Pickled beside its answers (a result holds both), the answer log is
+    stored once.
+    """
+
+    __slots__ = ("answers", "rows", "classes", "ttl_altered", "serial_decreased")
+
+    def __init__(self, answers: AnswerLog) -> None:
+        self.answers = answers
+        self.rows = array("B")
+        self.classes = array("B")
+        self.ttl_altered = array("B")
+        self.serial_decreased = array("B")
+
+    def append(
+        self, row: int, class_id: int, ttl_altered: bool, serial_decreased: bool
+    ) -> None:
+        """Classify answer ``row`` as ``CLASSES[class_id]``."""
+        try:
+            self.rows.append(row)
+        except OverflowError:
+            self.rows = widened(self.rows, row)
+            self.rows.append(row)
+        self.classes.append(class_id)
+        self.ttl_altered.append(ttl_altered)
+        self.serial_decreased.append(serial_decreased)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _row(self, index: int) -> ClassifiedAnswer:
+        return ClassifiedAnswer(
+            self.answers[self.rows[index]],
+            CLASSES[self.classes[index]],
+            bool(self.ttl_altered[index]),
+            bool(self.serial_decreased[index]),
+        )
+
+    def __repr__(self) -> str:
+        return f"<ClassifiedLog classified={len(self)} of {len(self.answers)} answers>"
+
+    def __getstate__(self):
+        return (
+            self.answers,
+            self.rows,
+            self.classes,
+            self.ttl_altered,
+            self.serial_decreased,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.answers,
+            self.rows,
+            self.classes,
+            self.ttl_altered,
+            self.serial_decreased,
+        ) = state
+
+
+def class_timeseries(
+    classified: ClassifiedLog, round_seconds: float, warmup_as_aa: bool
+) -> Dict[int, Dict[str, int]]:
+    """AA/AC/CC/CA counts per probing round, rounds in first-seen order.
+
+    Warm-up answers count as AA with ``warmup_as_aa`` and are left out
+    otherwise.
+    """
+    sent_at = classified.answers.sent_at
+    class_ids = classified.classes
+    if warmup_as_aa:
+        class_ids = [AA_ID if class_id == WARMUP_ID else class_id for class_id in class_ids]
+    counted = Counter(
+        zip(round_indexes(map(sent_at.__getitem__, classified.rows), round_seconds), class_ids)
+    )
+    series: Dict[int, Dict[str, int]] = {}
+    for (round_index, class_id), count in counted.items():
+        if class_id == WARMUP_ID:
+            continue
+        bucket = series.setdefault(round_index, {"AA": 0, "AC": 0, "CC": 0, "CA": 0})
+        bucket[CLASSES[class_id].value] += count
+    return series
 
 
 @dataclass
@@ -125,10 +231,10 @@ def _ttl_altered(returned_ttl: Optional[int], zone_ttl: int) -> bool:
 
 
 def classify_answers(
-    answers: Sequence[StubAnswer],
+    answers: AnswerLog,
     zone_ttl: int,
     rotation: RotationSchedule,
-) -> Tuple[ClassificationTable, List[ClassifiedAnswer]]:
+) -> Tuple[ClassificationTable, ClassifiedLog]:
     """Classify all valid answers, per VP, in time order.
 
     Only successful answers carrying the instrumented AAAA payload are
@@ -136,73 +242,71 @@ def classify_answers(
     "answers (disc.)" and are excluded before this function.
     """
     table = ClassificationTable()
-    classified: List[ClassifiedAnswer] = []
+    classified = ClassifiedLog(answers)
+    sent_at, answered_at = answers.sent_at, answers.answered_at
+    serials, returned_ttls = answers.serials, answers.returned_ttls
 
-    by_vp: Dict[Tuple[int, str], List[StubAnswer]] = {}
-    for answer in answers:
-        if not answer.is_success or answer.serial is None:
-            continue
-        by_vp.setdefault((answer.probe_id, answer.resolver), []).append(answer)
+    # Valid rows per VP, VPs in first-seen order. Within one log the
+    # resolver id stands for the address.
+    by_vp: Dict[Tuple[int, int], List[int]] = {}
+    for row, (status, serial, vp) in enumerate(
+        zip(answers.statuses, serials, zip(answers.probe_ids, answers.resolver.ids))
+    ):
+        if status == OK_CODE and serial:  # a stored 0 is None
+            by_vp.setdefault(vp, []).append(row)
 
-    for vp_answers in by_vp.values():
-        vp_answers.sort(key=lambda item: item.sent_at)
-        table.answers_valid += len(vp_answers)
-        if len(vp_answers) == 1:
+    for vp_rows in by_vp.values():
+        vp_rows.sort(key=sent_at.__getitem__)
+        table.answers_valid += len(vp_rows)
+        if len(vp_rows) == 1:
             table.one_answer_vps += 1
             continue
 
         previous_serial: Optional[int] = None
         cache_valid_until: Optional[float] = None
-        for index, answer in enumerate(vp_answers):
-            returned_ttl = answer.returned_ttl
+        for index, row in enumerate(vp_rows):
+            serial = serials[row] - 1  # never None in a valid row
+            returned_ttl = optional_value(returned_ttls[row])
             altered = _ttl_altered(returned_ttl, zone_ttl)
-            decreased = (
-                previous_serial is not None
-                and answer.serial is not None
-                and answer.serial < previous_serial
-            )
+            decreased = previous_serial is not None and serial < previous_serial
             if index == 0:
                 table.warmup += 1
                 if altered:
                     table.warmup_ttl_altered += 1
                 else:
                     table.warmup_ttl_as_zone += 1
-                answer_class = AnswerClass.WARMUP
+                class_id = WARMUP_ID
             else:
-                current_serial = rotation.serial_at(answer.sent_at)
-                from_cache = (
-                    answer.serial is not None and answer.serial < current_serial
-                )
+                sent = sent_at[row]
+                from_cache = serial < rotation.serial_at(sent)
                 expected_cache = (
-                    cache_valid_until is not None
-                    and answer.sent_at < cache_valid_until
+                    cache_valid_until is not None and sent < cache_valid_until
                 )
                 if from_cache and expected_cache:
-                    answer_class = AnswerClass.CC
+                    class_id = CC_ID
                     table.cc += 1
                     if decreased:
                         table.cc_decreasing += 1
                 elif from_cache:
-                    answer_class = AnswerClass.CA
+                    class_id = CA_ID
                     table.ca += 1
                     if decreased:
                         table.ca_decreasing += 1
                 elif expected_cache:
-                    answer_class = AnswerClass.AC
+                    class_id = AC_ID
                     table.ac += 1
                     if altered:
                         table.ac_ttl_altered += 1
                     else:
                         table.ac_ttl_as_zone += 1
                 else:
-                    answer_class = AnswerClass.AA
+                    class_id = AA_ID
                     table.aa += 1
-            classified.append(
-                ClassifiedAnswer(answer, answer_class, altered, decreased)
-            )
-            previous_serial = answer.serial
-            if answer.answered_at is not None and returned_ttl is not None:
-                cache_valid_until = answer.answered_at + returned_ttl
+            classified.append(row, class_id, altered, decreased)
+            previous_serial = serial
+            answered = answered_at[row]
+            if not math.isnan(answered) and returned_ttl is not None:
+                cache_valid_until = answered + returned_ttl
 
     return table, classified
 
@@ -232,7 +336,7 @@ class MissAttribution:
 
 
 def classify_misses_by_resolver(
-    classified: Iterable[ClassifiedAnswer],
+    classified: ClassifiedLog,
     registry: ResolverRegistry,
     query_log: Optional[QueryLog] = None,
     zone_origin: Optional[Name] = None,
@@ -256,11 +360,13 @@ def classify_misses_by_resolver(
         times = query_log.times
         srcs, src_ids = query_log.src.values, query_log.src.ids
 
-    for item in classified:
-        if item.answer_class != AnswerClass.AC:
+    answers = classified.answers
+    resolvers, resolver_ids = answers.resolver.values, answers.resolver.ids
+    for row, class_id in zip(classified.rows, classified.classes):
+        if class_id != AC_ID:
             continue
         attribution.ac_total += 1
-        resolver = item.answer.resolver
+        resolver = resolvers[resolver_ids[row]]
         if registry.is_public(resolver):
             attribution.public_r1 += 1
             if registry.is_google(resolver):
@@ -272,17 +378,14 @@ def classify_misses_by_resolver(
         if query_log is None or zone_origin is None:
             attribution.other_rn += 1
             continue
-        qname = zone_origin.child(str(item.answer.probe_id))
-        window_start = item.answer.sent_at - 0.5
-        window_end = (
-            item.answer.answered_at
-            if item.answer.answered_at is not None
-            else item.answer.sent_at + 5.0
-        )
+        qname = zone_origin.child(str(answers.probe_ids[row]))
+        sent, answered = answers.sent_at[row], answers.answered_at[row]
+        window_start = sent - 0.5
+        window_end = sent + 5.0 if math.isnan(answered) else answered
         sources = {
-            srcs[src_ids[row]]
-            for row in rows_by_qname.get(qname, ())
-            if window_start <= times[row] <= window_end
+            srcs[src_ids[query_row]]
+            for query_row in rows_by_qname.get(qname, ())
+            if window_start <= times[query_row] <= window_end
         }
         if any(registry.is_google(source) for source in sources):
             attribution.google_rn += 1

@@ -29,7 +29,7 @@ from repro.core.testbed import BASELINE_LOSS, NEGATIVE_TTL, World
 from repro.netem.address import default_allocator
 from repro.netem.attack import AttackWindow
 from repro.netem.link import PerHostLatency
-from repro.resolvers.stub import StubAnswer
+from repro.resolvers.stub import AnswerLog
 from repro.servers.hierarchy import TLD_ORIGIN, ZONE_ORIGIN, ZoneSpec
 
 
@@ -64,11 +64,11 @@ class AnycastResult:
     """Per-catchment client outcomes."""
 
     spec: AnycastSpec
-    answers_attacked_catchment: List[StubAnswer]
-    answers_healthy_catchment: List[StubAnswer]
+    answers_attacked_catchment: AnswerLog
+    answers_healthy_catchment: AnswerLog
     # VPs behind forwarders/pools whose exit catchment is not directly
     # observable from the client side; reported separately.
-    answers_indirect: List[StubAnswer] = field(default_factory=list)
+    answers_indirect: AnswerLog = field(default_factory=AnswerLog)
     site_addresses: List[str] = field(default_factory=list)
     attacked_addresses: List[str] = field(default_factory=list)
 
@@ -181,24 +181,25 @@ def run_anycast_study(
     # clean comparison uses VPs whose first-hop IS the exit (direct ISP
     # resolvers); VPs behind forwarders, clusters, and public pools go
     # to the "indirect" bucket.
+    # Each resolver's bucket is decided once; its rows follow its id.
     attacked_set = set(attacked)
-    attacked_answers: List[StubAnswer] = []
-    healthy_answers: List[StubAnswer] = []
-    indirect_answers: List[StubAnswer] = []
-    for answer in population.results:
-        if population.registry.kind_of(answer.resolver) != "isp":
-            indirect_answers.append(answer)
-            continue
-        catchment = catchment_of.get(answer.resolver)
-        if catchment in attacked_set:
-            attacked_answers.append(answer)
+    answers = population.results
+    rows: Dict[str, List[int]] = {"attacked": [], "healthy": [], "indirect": []}
+    bucket_of: List[List[int]] = []
+    for resolver in answers.resolver.values:
+        if population.registry.kind_of(resolver) != "isp":
+            bucket_of.append(rows["indirect"])
+        elif catchment_of.get(resolver) in attacked_set:
+            bucket_of.append(rows["attacked"])
         else:
-            healthy_answers.append(answer)
+            bucket_of.append(rows["healthy"])
+    for row, resolver_id in enumerate(answers.resolver.ids):
+        bucket_of[resolver_id].append(row)
     return AnycastResult(
         spec=spec,
-        answers_attacked_catchment=attacked_answers,
-        answers_healthy_catchment=healthy_answers,
-        answers_indirect=indirect_answers,
+        answers_attacked_catchment=answers.take(rows["attacked"]),
+        answers_healthy_catchment=answers.take(rows["healthy"]),
+        answers_indirect=answers.take(rows["indirect"]),
         site_addresses=site_addresses,
         attacked_addresses=attacked,
     )

@@ -14,17 +14,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.clients.population import PopulationConfig
 from repro.core.classification import (
-    AnswerClass,
     ClassificationTable,
-    ClassifiedAnswer,
+    ClassifiedLog,
     MissAttribution,
+    class_timeseries,
     classify_answers,
     classify_misses_by_resolver,
 )
-from repro.core.metrics import round_index_of
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.obs import ObsSpec
-from repro.resolvers.stub import StubAnswer
+from repro.resolvers.stub import NO_ANSWER_CODE, OK_CODE, AnswerLog
 
 
 @dataclass
@@ -86,8 +85,8 @@ class BaselineResult:
     dataset: DatasetCounts
     table2: ClassificationTable
     table3: MissAttribution
-    classified: List[ClassifiedAnswer]
-    answers: List[StubAnswer]
+    classified: ClassifiedLog
+    answers: AnswerLog
     # Observability payloads (empty/None unless the run enabled them).
     # BaselineResult has no live testbed reference, so telemetry is
     # carried directly and survives pickling through the runner cache;
@@ -104,30 +103,24 @@ class BaselineResult:
 
     def class_timeseries(self) -> Dict[int, Dict[str, int]]:
         """Figure 13: answer classes per probing round."""
-        series: Dict[int, Dict[str, int]] = {}
-        for item in self.classified:
-            if item.answer_class == AnswerClass.WARMUP:
-                continue
-            bucket = series.setdefault(
-                round_index_of(item.time, self.spec.probe_interval),
-                {"AA": 0, "AC": 0, "CC": 0, "CA": 0},
-            )
-            bucket[item.answer_class.value] += 1
-        return series
+        return class_timeseries(self.classified, self.spec.probe_interval, False)
 
 
-def dataset_counts(testbed: Testbed, answers: List[StubAnswer]) -> DatasetCounts:
+def dataset_counts(testbed: Testbed, answers: AnswerLog) -> DatasetCounts:
     """Table 1 accounting from raw stub results."""
     counts = DatasetCounts()
     counts.probes = len(testbed.population.probes)
     counts.vps = testbed.population.vp_count
     counts.queries = len(answers)
     answered_probes = set()
-    for answer in answers:
-        if answer.status != StubAnswer.NO_ANSWER:
+    for probe_id, status, serial in zip(
+        answers.probe_ids, answers.statuses, answers.serials
+    ):
+        if status != NO_ANSWER_CODE:
             counts.answers += 1
-            answered_probes.add(answer.probe_id)
-            if answer.is_success and answer.serial is not None:
+            answered_probes.add(probe_id)
+            # A stored serial of 0 is None.
+            if status == OK_CODE and serial:
                 counts.answers_valid += 1
             else:
                 counts.answers_discarded += 1

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.clients.population import PopulationConfig
 from repro.core.classification import (
-    AnswerClass,
-    ClassifiedAnswer,
+    ClassifiedLog,
+    class_timeseries,
     classify_answers,
 )
 from repro.core.metrics import (
@@ -29,12 +29,11 @@ from repro.core.metrics import (
     latency_by_round,
     per_probe_amplification,
     responses_by_round,
-    round_index_of,
     unique_rn_by_round,
 )
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.obs import ObsSpec
-from repro.resolvers.stub import StubAnswer
+from repro.resolvers.stub import AnswerLog
 
 
 @dataclass
@@ -107,8 +106,8 @@ class DDoSResult:
     """Raw results plus derived series for one DDoS experiment."""
 
     spec: DDoSSpec
-    answers: List[StubAnswer]
-    classified: List[ClassifiedAnswer]
+    answers: AnswerLog
+    classified: ClassifiedLog
     testbed: Testbed = field(repr=False)
 
     @property
@@ -129,17 +128,7 @@ class DDoSResult:
 
     def class_timeseries(self) -> Dict[int, Dict[str, int]]:
         """Figure 7: AA/CC/CA(+AC) per round."""
-        series: Dict[int, Dict[str, int]] = {}
-        for item in self.classified:
-            bucket = series.setdefault(
-                round_index_of(item.time, self.spec.round_seconds),
-                {"AA": 0, "AC": 0, "CC": 0, "CA": 0},
-            )
-            if item.answer_class == AnswerClass.WARMUP:
-                bucket["AA"] += 1
-            else:
-                bucket[item.answer_class.value] += 1
-        return series
+        return class_timeseries(self.classified, self.spec.round_seconds, True)
 
     def latency_series(self) -> List[LatencyQuantiles]:
         """Figures 9/15: latency quantiles per round."""

@@ -24,6 +24,7 @@ from repro.core.testbed import Testbed, TestbedConfig, World
 from repro.dnscore.rrtypes import RRType
 from repro.netem.link import PerHostLatency
 from repro.resolvers.recursive import Outcome, RecursiveResolver, ResolverConfig
+from repro.resolvers.stub import OK_CODE
 from repro.servers.hierarchy import ZoneSpec
 
 
@@ -129,16 +130,18 @@ def run_glue_experiment(
 
     ns_buckets = TtlBuckets()
     a_buckets = TtlBuckets()
-    for answer in testbed.population.results:
-        if not answer.is_success or answer.returned_ttl is None:
-            continue
-        if answer.record_count == 0:
+    answers = testbed.population.results
+    # Optional columns store value + 1, with 0 for None (AnswerLog).
+    for status, returned_ttl, record_count, serial in zip(
+        answers.statuses, answers.returned_ttls, answers.record_counts, answers.serials
+    ):
+        if status != OK_CODE or not returned_ttl or record_count == 0:
             continue
         # NS answers have multiple records; A answers a single one.
-        if answer.serial is not None:
+        if serial:
             continue  # instrumented AAAA; not part of this experiment
-        buckets = ns_buckets if answer.record_count > 1 else a_buckets
-        buckets.add(answer.returned_ttl, parent_ttl, child_ttl)
+        buckets = ns_buckets if record_count > 1 else a_buckets
+        buckets.add(returned_ttl - 1, parent_ttl, child_ttl)
     return GlueResult(parent_ttl, child_ttl, ns_buckets, a_buckets)
 
 

@@ -26,7 +26,7 @@ from repro.netem.link import PerHostLatency
 from repro.resolvers.forwarder import ForwarderConfig, ForwardingResolver
 from repro.resolvers.recursive import RecursiveResolver, ResolverConfig
 from repro.resolvers.retry import forwarder_profile
-from repro.resolvers.stub import StubAnswer, StubResolver
+from repro.resolvers.stub import OK_CODE, StubResolver
 from repro.servers.hierarchy import TLD_ORIGIN, ZONE_ORIGIN, ZoneSpec
 
 PROBE_ID = 28477
@@ -146,10 +146,7 @@ def run_probe_case(
         )
         r1_addresses.append(address)
 
-    results: List[StubAnswer] = []
-    stub = StubResolver(
-        sim, network, "10.0.0.1", PROBE_ID, r1_addresses, results=results
-    )
+    stub = StubResolver(sim, network, "10.0.0.1", PROBE_ID, r1_addresses)
     qname = Name.from_text(f"{PROBE_ID}.{ZONE_ORIGIN}")
 
     duration = rounds * round_seconds
@@ -165,16 +162,19 @@ def run_probe_case(
     sim.run(until=duration + 30.0)
 
     offered_log, delivered_log = world.offered_query_log, world.query_log
+    # Client view per round: (status, resolver id) of each query.
+    answers = stub.results
+    client: Dict[int, List[Tuple[int, int]]] = {}
+    for round_index, status, resolver_id in zip(
+        answers.rounds, answers.statuses, answers.resolver.ids
+    ):
+        client.setdefault(round_index, []).append((status, resolver_id))
     rows: List[Table7Row] = []
     for round_index in range(rounds):
         window = (round_index * round_seconds, (round_index + 1) * round_seconds)
-        round_answers = [
-            answer for answer in results if answer.round_index == round_index
-        ]
+        round_answers = client.get(round_index, [])
         answering_r1 = {
-            answer.resolver
-            for answer in round_answers
-            if answer.status == StubAnswer.OK
+            resolver_id for status, resolver_id in round_answers if status == OK_CODE
         }
         offered = [
             entry
@@ -204,7 +204,7 @@ def run_probe_case(
                 interval=round_index + 1,
                 client_queries=len(round_answers),
                 client_answers=sum(
-                    1 for answer in round_answers if answer.status == StubAnswer.OK
+                    1 for status, _resolver in round_answers if status == OK_CODE
                 ),
                 client_r1_count=len(answering_r1),
                 auth_queries=len(offered),

@@ -1,7 +1,8 @@
 """Client-experience and authoritative-side metric aggregations.
 
-These functions turn raw :class:`~repro.resolvers.stub.StubAnswer` rows
-and server query logs into exactly the series the paper plots: answers
+These functions turn the stub's answer columns
+(:class:`~repro.resolvers.stub.AnswerLog`) and server query logs into
+exactly the series the paper plots: answers
 per round by outcome (Figures 6, 8, 14), latency quantiles per round
 (Figures 9, 15), per-qtype authoritative load (Figure 10), unique Rn
 addresses per round (Figure 12), and per-probe Rn / query amplification
@@ -13,12 +14,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columns import round_indexes
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRType
-from repro.resolvers.stub import StubAnswer
+from repro.resolvers.stub import OK_CODE, STATUSES, AnswerLog, StubAnswer
 from repro.servers.querylog import QueryLog, classify_query_kind
 
 
@@ -46,8 +47,20 @@ def quantile(sorted_values: Sequence[float], fraction: float) -> float:
 # ---------------------------------------------------------------------------
 # Client-side series
 # ---------------------------------------------------------------------------
+#: responses_by_round()'s bucket per stored status code: NXDOMAIN and
+#: NODATA count as errors.
+_OUTCOME_OF_STATUS: Tuple[str, ...] = tuple(
+    {
+        StubAnswer.OK: "ok",
+        StubAnswer.SERVFAIL: "servfail",
+        StubAnswer.NO_ANSWER: "no_answer",
+    }.get(status, "error")
+    for status in STATUSES
+)
+
+
 def responses_by_round(
-    answers: Iterable[StubAnswer],
+    answers: AnswerLog,
     round_seconds: float = 600.0,
 ) -> Dict[int, Dict[str, int]]:
     """Answers per probing round by outcome: OK / SERVFAIL / no answer.
@@ -57,36 +70,32 @@ def responses_by_round(
     way the paper discards them ("answers (disc.)").
     """
     series: Dict[int, Dict[str, int]] = {}
-    for answer in answers:
+    counted = Counter(
+        zip(round_indexes(answers.sent_at, round_seconds), answers.statuses)
+    )
+    for (round_index, status), count in counted.items():
         bucket = series.setdefault(
-            round_index_of(answer.sent_at, round_seconds),
-            {"ok": 0, "servfail": 0, "no_answer": 0, "error": 0},
+            round_index, {"ok": 0, "servfail": 0, "no_answer": 0, "error": 0}
         )
-        if answer.status == StubAnswer.OK:
-            bucket["ok"] += 1
-        elif answer.status == StubAnswer.SERVFAIL:
-            bucket["servfail"] += 1
-        elif answer.status == StubAnswer.NO_ANSWER:
-            bucket["no_answer"] += 1
-        else:
-            bucket["error"] += 1
+        bucket[_OUTCOME_OF_STATUS[status]] += count
     return series
 
 
 def failure_fraction(
-    answers: Iterable[StubAnswer],
+    answers: AnswerLog,
     window: Optional[Tuple[float, float]] = None,
 ) -> float:
     """Fraction of queries not answered OK, optionally within a window."""
-    total = 0
-    failed = 0
-    for answer in answers:
-        if window is not None and not window[0] <= answer.sent_at < window[1]:
-            continue
-        total += 1
-        if answer.status != StubAnswer.OK:
-            failed += 1
-    return failed / total if total else 0.0
+    statuses = answers.statuses
+    if window is not None:
+        start, end = window
+        statuses = [
+            status
+            for sent, status in zip(answers.sent_at, statuses)
+            if start <= sent < end
+        ]
+    total = len(statuses)
+    return (total - statuses.count(OK_CODE)) / total if total else 0.0
 
 
 @dataclass
@@ -102,17 +111,19 @@ class LatencyQuantiles:
 
 
 def latency_by_round(
-    answers: Iterable[StubAnswer],
+    answers: AnswerLog,
     round_seconds: float = 600.0,
 ) -> List[LatencyQuantiles]:
     """Per-round latency quantiles over successfully answered queries."""
     latencies: Dict[int, List[float]] = {}
-    for answer in answers:
-        if answer.latency is None or answer.status != StubAnswer.OK:
+    for sent, answered, status in zip(
+        answers.sent_at, answers.answered_at, answers.statuses
+    ):
+        if status != OK_CODE or math.isnan(answered):
             continue
-        latencies.setdefault(
-            round_index_of(answer.sent_at, round_seconds), []
-        ).append(answer.latency * 1000.0)
+        latencies.setdefault(round_index_of(sent, round_seconds), []).append(
+            (answered - sent) * 1000.0
+        )
     result: List[LatencyQuantiles] = []
     for round_index in sorted(latencies):
         values = sorted(latencies[round_index])

@@ -13,7 +13,8 @@ The components compose the way real deployments do (paper §2.1, §3.5):
   service: an ingress address load-balancing across backend recursives
   with independent (fragmented) caches.
 * :class:`~repro.resolvers.stub.StubResolver` — the client stub with the
-  Atlas 5-second timeout.
+  Atlas 5-second timeout, writing one row per query into an
+  :class:`~repro.resolvers.stub.AnswerLog`.
 """
 
 from repro.resolvers.cache import CacheConfig, CacheEntry, DnsCache
@@ -23,9 +24,10 @@ from repro.resolvers.pool import PublicResolverPool
 from repro.resolvers.recursive import RecursiveResolver, ResolverConfig
 from repro.resolvers.retry import RetryPolicy, bind_profile, unbound_profile
 from repro.resolvers.selection import ServerSelector
-from repro.resolvers.stub import StubAnswer, StubResolver
+from repro.resolvers.stub import AnswerLog, StubAnswer, StubResolver
 
 __all__ = [
+    "AnswerLog",
     "CacheConfig",
     "CacheEntry",
     "DnsCache",

@@ -8,6 +8,14 @@ simulator state full of bound callbacks that neither pickle nor belong in
 a result cache. Every derived series the analysis code reads off the
 testbed comes from exactly three attributes, so :class:`TestbedSnapshot`
 captures those and stands in for the testbed on detached results.
+
+Everything per row in a result is a column store (:mod:`repro.columns`):
+the client answers (:class:`~repro.resolvers.stub.AnswerLog`), their
+§3.4 classes (:class:`~repro.core.classification.ClassifiedLog`, which
+points into the answers, so a pickle holds them once), the query log
+and the spans. A detached result therefore pickles as a few dozen typed
+arrays and small tables, and loading it builds about the same number of
+objects whatever the probe count.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -69,19 +71,31 @@ def test_cli_export_and_analyze_trace(tmp_path, capsys):
 
 
 def test_cli_report_tiny(tmp_path, capsys):
-    output = tmp_path / "report.md"
-    assert main(
-        [
-            "report",
-            "--baseline-probes", "60",
-            "--ddos-probes", "60",
-            "--output", str(output),
-        ]
-    ) == 0
-    text = output.read_text()
+    def report(name):
+        output = tmp_path / name
+        assert main(
+            [
+                "report",
+                "--baseline-probes", "60",
+                "--ddos-probes", "60",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--output", str(output),
+            ]
+        ) == 0
+        *body, footer = output.read_text().rstrip("\n").split("\n")
+        return body, footer
+
+    body, footer = report("cold.md")
+    text = "\n".join(body)
     assert "# EXPERIMENTS — paper vs measured" in text
     assert "Table 3 miss attribution" in text
     assert "Figure 16" in text
+    # The footer says how much of the battery the run cache served.
+    runs = int(re.search(r": (\d+) runs simulated, 0 read from the run cache", footer)[1])
+    assert runs > 20
+    warm_body, warm_footer = report("warm.md")
+    assert warm_body == body
+    assert f": 0 runs simulated, {runs} read from the run cache._" in warm_footer
 
 
 def test_cli_sweep_tiny(tmp_path, capsys):

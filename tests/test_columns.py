@@ -1,4 +1,5 @@
-"""The column stores behind the query log and the span log.
+"""The column stores behind the query log, the span log, and the stub's
+answers and their classes.
 
 Every aggregation and exporter is checked against a plain reference row
 list (the per-row algorithms the stores replaced), over random
@@ -7,31 +8,46 @@ widths, pickling and the payload budget.
 """
 
 import dataclasses
+import gc
 import io
 import json
+import math
 import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.traceio import analyze_trace, export_query_log
 from repro.attackload import AttackLoadSpec
 from repro.clients.publicdns import ResolverRegistry
 from repro.core.classification import (
+    AC_ID,
     AnswerClass,
+    ClassificationTable,
     ClassifiedAnswer,
+    ClassifiedLog,
+    RotationSchedule,
+    class_timeseries,
+    classify_answers,
     classify_misses_by_resolver,
 )
+from repro.core.experiments import DDOS_EXPERIMENTS
 from repro.core.experiments.ddos import DDoSSpec, run_ddos
 from repro.core.experiments.defense_study import defense_spec_for
-from repro.core.metrics import per_probe_amplification, quantile
+from repro.core.metrics import (
+    failure_fraction,
+    latency_by_round,
+    per_probe_amplification,
+    quantile,
+    responses_by_round,
+)
 from repro.dnscore.name import Name
-from repro.dnscore.rrtypes import RRType
+from repro.dnscore.rrtypes import Rcode, RRType
 from repro.obs import SpanEvent, export_spans, validate_span_chains
 from repro.obs.records import SPAN_KINDS, SpanLog
-from repro.resolvers.stub import StubAnswer
+from repro.resolvers.stub import STATUSES, AnswerLog, StubAnswer
 from repro.runner import DiskCache, detach_result
 from repro.servers.querylog import QueryLog, QueryLogEntry, classify_query_kind
 
@@ -212,11 +228,16 @@ def test_analyze_trace_matches_reference_rows(rows):
     assert analysis.close_query_fraction == (close / len(deltas) if deltas else 0.0)
 
 
-def _ac_answer(probe_id: int, resolver: str, sent_at: float) -> ClassifiedAnswer:
-    answer = StubAnswer(probe_id, resolver, 0, sent_at)
-    answer.status = StubAnswer.OK
-    answer.answered_at = sent_at + 1.0
-    return ClassifiedAnswer(answer, AnswerClass.AC, False, False)
+def _ac_answers(*answers) -> ClassifiedLog:
+    """Each (probe_id, resolver, sent_at) as an answered query classed AC."""
+    log = AnswerLog(
+        StubAnswer(probe_id, resolver, 0, sent_at, sent_at + 1.0, StubAnswer.OK)
+        for probe_id, resolver, sent_at in answers
+    )
+    classified = ClassifiedLog(log)
+    for row in range(len(log)):
+        classified.append(row, AC_ID, False, False)
+    return classified
 
 
 def test_miss_attribution_reads_every_spelling_of_the_probe_name():
@@ -230,14 +251,261 @@ def test_miss_attribution_reads_every_spelling_of_the_probe_name():
     log.record(10.2, google, Name.from_text("1.CacheTest.NL."), RRType.AAAA, "at-ns1")
     log.record(10.3, "100.64.0.9", Name.from_text("2.cachetest.nl."), RRType.AAAA, "at-ns1")
     log.record(99.0, google, Name.from_text("17.cachetest.nl."), RRType.AAAA, "at-ns1")
-    classified = [
-        _ac_answer(1, "100.64.0.1", 10.0),
-        _ac_answer(2, "100.64.0.1", 10.0),
-        _ac_answer(17, "100.64.0.1", 10.0),
-    ]
+    classified = _ac_answers(
+        (1, "100.64.0.1", 10.0),
+        (2, "100.64.0.1", 10.0),
+        (17, "100.64.0.1", 10.0),
+    )
     table = classify_misses_by_resolver(classified, registry, log, ZONE)
     assert (table.ac_total, table.non_public_r1) == (3, 3)
     assert (table.google_rn, table.other_rn) == (1, 2)
+
+
+# ----------------------------------------------------------------------
+# Answer log and classes against a plain list of StubAnswer
+# ----------------------------------------------------------------------
+def _resolver(index: int) -> str:
+    return f"100.64.{index >> 8}.{index & 255}"
+
+
+def _optional(values):
+    return st.none() | values
+
+
+# Probes and resolvers mostly from small pools, so VPs repeat and the
+# classifier sees histories; now and then from wide ranges, so the id
+# columns widen.
+ANSWERS = st.lists(
+    st.tuples(
+        st.just(1) | st.just(2) | st.integers(min_value=0, max_value=70_000),
+        st.just(0) | st.just(1) | st.integers(min_value=0, max_value=299),
+        st.integers(min_value=0, max_value=300),
+        st.floats(min_value=0.0, max_value=20_000.0, allow_nan=False),
+        _optional(st.floats(min_value=0.0, max_value=20_000.0, allow_nan=False)),
+        st.just(StubAnswer.OK) | st.sampled_from(STATUSES),
+        _optional(st.sampled_from(list(Rcode))),
+        _optional(st.sampled_from([0, 60, 1700, 1800, 1900]) | st.integers(min_value=0, max_value=2**32)),
+        st.integers(min_value=0, max_value=40) | _optional(st.integers(min_value=0, max_value=40)),
+        _optional(st.integers(min_value=0, max_value=2**32 - 1)),
+        st.integers(min_value=0, max_value=300),
+        _optional(st.integers(min_value=0, max_value=2**40)),
+    ),
+    max_size=60,
+)
+
+#: 300 distinct resolvers, and None in every optional field.
+WIDE_ANSWERS = [
+    (index % 7, index, index % 4, index * 7.0, None, StubAnswer.NO_ANSWER,
+     None, None, None, None, 0, None)
+    for index in range(300)
+] + [
+    (1, 299, 5, 4000.0, 4000.5, StubAnswer.OK, Rcode.NOERROR, 1800, 3, 1800, 1, 9),
+    (1, 299, 6, 4600.0, 4600.5, StubAnswer.OK, Rcode.NOERROR, 1200, 3, 1800, 1, None),
+]
+
+ANSWER_ROTATION = RotationSchedule(initial_serial=1, interval=600.0)
+
+
+def build_answers(rows):
+    return [
+        StubAnswer(probe_id, _resolver(resolver), *rest)
+        for probe_id, resolver, *rest in rows
+    ]
+
+
+def reference_responses(answers, round_seconds):
+    series = {}
+    for answer in answers:
+        bucket = series.setdefault(
+            int(answer.sent_at // round_seconds),
+            {"ok": 0, "servfail": 0, "no_answer": 0, "error": 0},
+        )
+        if answer.status == StubAnswer.OK:
+            bucket["ok"] += 1
+        elif answer.status == StubAnswer.SERVFAIL:
+            bucket["servfail"] += 1
+        elif answer.status == StubAnswer.NO_ANSWER:
+            bucket["no_answer"] += 1
+        else:
+            bucket["error"] += 1
+    return series
+
+
+def reference_failure_fraction(answers, window=None):
+    total = failed = 0
+    for answer in answers:
+        if window is not None and not window[0] <= answer.sent_at < window[1]:
+            continue
+        total += 1
+        failed += answer.status != StubAnswer.OK
+    return failed / total if total else 0.0
+
+
+def reference_latency(answers, round_seconds):
+    latencies = {}
+    for answer in answers:
+        if answer.latency is None or answer.status != StubAnswer.OK:
+            continue
+        latencies.setdefault(int(answer.sent_at // round_seconds), []).append(
+            answer.latency * 1000.0
+        )
+    result = []
+    for round_index in sorted(latencies):
+        values = sorted(latencies[round_index])
+        result.append(
+            (
+                round_index,
+                len(values),
+                quantile(values, 0.5),
+                sum(values) / len(values),
+                quantile(values, 0.75),
+                quantile(values, 0.90),
+            )
+        )
+    return result
+
+
+def reference_classify(answers, zone_ttl, rotation):
+    """The per-row §3.4 classifier the class store replaced."""
+    table = ClassificationTable()
+    classified = []
+    by_vp = {}
+    for answer in answers:
+        if answer.is_success and answer.serial is not None:
+            by_vp.setdefault((answer.probe_id, answer.resolver), []).append(answer)
+    for vp_answers in by_vp.values():
+        vp_answers.sort(key=lambda item: item.sent_at)
+        table.answers_valid += len(vp_answers)
+        if len(vp_answers) == 1:
+            table.one_answer_vps += 1
+            continue
+        previous_serial = cache_valid_until = None
+        for index, answer in enumerate(vp_answers):
+            ttl = answer.returned_ttl
+            altered = ttl is not None and abs(ttl - zone_ttl) > 0.1 * zone_ttl
+            decreased = previous_serial is not None and answer.serial < previous_serial
+            if index == 0:
+                table.warmup += 1
+                if altered:
+                    table.warmup_ttl_altered += 1
+                else:
+                    table.warmup_ttl_as_zone += 1
+                answer_class = AnswerClass.WARMUP
+            else:
+                from_cache = answer.serial < rotation.serial_at(answer.sent_at)
+                expected = cache_valid_until is not None and answer.sent_at < cache_valid_until
+                if from_cache and expected:
+                    answer_class = AnswerClass.CC
+                    table.cc += 1
+                    table.cc_decreasing += decreased
+                elif from_cache:
+                    answer_class = AnswerClass.CA
+                    table.ca += 1
+                    table.ca_decreasing += decreased
+                elif expected:
+                    answer_class = AnswerClass.AC
+                    table.ac += 1
+                    if altered:
+                        table.ac_ttl_altered += 1
+                    else:
+                        table.ac_ttl_as_zone += 1
+                else:
+                    answer_class = AnswerClass.AA
+                    table.aa += 1
+            classified.append(ClassifiedAnswer(answer, answer_class, altered, decreased))
+            previous_serial = answer.serial
+            if answer.answered_at is not None and ttl is not None:
+                cache_valid_until = answer.answered_at + ttl
+    return table, classified
+
+
+def reference_class_timeseries(classified, round_seconds, warmup_as_aa):
+    series = {}
+    for item in classified:
+        if item.answer_class == AnswerClass.WARMUP and not warmup_as_aa:
+            continue
+        bucket = series.setdefault(
+            int(item.time // round_seconds), {"AA": 0, "AC": 0, "CC": 0, "CA": 0}
+        )
+        if item.answer_class == AnswerClass.WARMUP:
+            bucket["AA"] += 1
+        else:
+            bucket[item.answer_class.value] += 1
+    return series
+
+
+def assert_same_series(mine, reference):
+    """Equal, and in the same key order at both levels."""
+    assert mine == reference
+    assert list(mine) == list(reference)
+    assert [list(bucket) for bucket in mine.values()] == [
+        list(bucket) for bucket in reference.values()
+    ]
+
+
+@given(ANSWERS)
+@example(WIDE_ANSWERS)
+@settings(max_examples=150, deadline=None)
+def test_answer_log_matches_reference_rows(rows):
+    answers = build_answers(rows)
+    log = AnswerLog(answers)
+
+    assert len(log) == len(answers)
+    assert log == answers and list(log) == answers
+    for row in log:
+        for name in StubAnswer.__slots__:
+            value = getattr(row, name)
+            assert not (isinstance(value, float) and math.isnan(value))
+    assert pickle.loads(pickle.dumps(log)) == answers
+    picked = list(range(0, len(answers), 2))[::-1]
+    assert log.take(picked) == [answers[index] for index in picked]
+
+    assert_same_series(responses_by_round(log, 600.0), reference_responses(answers, 600.0))
+    for window in (None, (600.0, 4200.0)):
+        assert failure_fraction(log, window) == reference_failure_fraction(answers, window)
+    assert [
+        dataclasses.astuple(row) for row in latency_by_round(log, 600.0)
+    ] == reference_latency(answers, 600.0)
+
+    table, classified = classify_answers(log, 1800, ANSWER_ROTATION)
+    reference_table, reference_rows = reference_classify(answers, 1800, ANSWER_ROTATION)
+    assert table == reference_table
+    assert classified == reference_rows
+    for warmup_as_aa in (True, False):
+        assert_same_series(
+            class_timeseries(classified, 600.0, warmup_as_aa),
+            reference_class_timeseries(reference_rows, 600.0, warmup_as_aa),
+        )
+    loaded = pickle.loads(pickle.dumps(classified))
+    assert loaded == reference_rows
+
+
+def test_answer_log_rejects_values_it_cannot_hold():
+    log = AnswerLog()
+    log.append(7, "r1", 0, 1.0)
+    fields = {"probe_id": 7, "resolver": "r1", "round_index": 0, "sent_at": 3.0}
+    for bad in (
+        {"probe_id": -1},
+        {"round_index": 2**64},
+        {"trace_id": -1},
+        {"trace_id": 2**64 - 1},
+    ):
+        with pytest.raises(OverflowError):
+            log.append(**{**fields, **bad})
+    # A refused row leaves nothing behind in any column.
+    assert log == [StubAnswer(7, "r1", 0, 1.0)]
+    assert {len(getattr(log, name)) for name in AnswerLog.__slots__ if name != "resolver"} == {1}
+    for bad in (
+        {"serial": -1},
+        {"returned_ttl": -5},
+        {"encoded_ttl": 2**64},
+        {"record_count": -1},
+    ):
+        row = log.append(8, "r2", 1, 2.0)
+        with pytest.raises(OverflowError):
+            log.settle(row, 2.5, StubAnswer.OK, Rcode.NOERROR, **bad)
+    with pytest.raises(AttributeError):
+        log[0].status = StubAnswer.OK
 
 
 # ----------------------------------------------------------------------
@@ -465,3 +733,33 @@ def test_detached_flood_result_stays_within_32_bytes_per_offered_query():
     offered = len(result.testbed.offered_query_log)
     assert offered > 20_000
     assert _pickled(detach_result(result)) <= 32 * offered
+
+
+def _tracked_objects_loaded(blob: bytes) -> int:
+    """gc-tracked objects that one ``pickle.loads`` of ``blob`` leaves."""
+    gc.collect()
+    before = len(gc.get_objects())
+    loaded = pickle.loads(blob)
+    gc.collect()
+    count = len(gc.get_objects()) - before
+    del loaded
+    return count
+
+
+def test_detached_h_result_answer_stores_stay_columnar():
+    """At most 48 B per answer row for the answers and their classes, and
+    a load that builds a fixed number of objects, whatever the probe
+    count: a warm rerun reads arrays, not one object per row."""
+    results = {
+        probes: detach_result(run_ddos(DDOS_EXPERIMENTS["H"], probe_count=probes, seed=42))
+        for probes in (50, 200)
+    }
+    for result in results.values():
+        stores = (result.answers, result.classified)
+        assert _pickled(stores) <= 48 * len(result.answers)
+    small, large = (
+        _tracked_objects_loaded(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        for result in results.values()
+    )
+    assert len(results[200].answers) > 3 * len(results[50].answers)
+    assert abs(large - small) < 200

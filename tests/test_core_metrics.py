@@ -15,18 +15,15 @@ from repro.core.metrics import (
 )
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRType
-from repro.resolvers.stub import StubAnswer
+from repro.resolvers.stub import AnswerLog, StubAnswer
 from repro.servers.querylog import QueryLog
 
 ZONE = Name.from_text("cachetest.nl.")
 
 
 def make_answer(sent_at, status=StubAnswer.OK, latency=0.05):
-    answer = StubAnswer(1, "r", int(sent_at // 600), sent_at)
-    answer.status = status
-    if status == StubAnswer.OK:
-        answer.answered_at = sent_at + latency
-    return answer
+    answered_at = sent_at + latency if status == StubAnswer.OK else None
+    return StubAnswer(1, "r", int(sent_at // 600), sent_at, answered_at, status)
 
 
 def test_round_index_of():
@@ -52,7 +49,7 @@ def test_responses_by_round_buckets():
         make_answer(610.0, status=StubAnswer.SERVFAIL),
         make_answer(620.0),
     ]
-    series = responses_by_round(answers, 600.0)
+    series = responses_by_round(AnswerLog(answers), 600.0)
     assert series[0] == {"ok": 1, "servfail": 0, "no_answer": 1, "error": 0}
     assert series[1] == {"ok": 1, "servfail": 1, "no_answer": 0, "error": 0}
 
@@ -63,15 +60,15 @@ def test_failure_fraction_with_window():
         make_answer(20.0, status=StubAnswer.NO_ANSWER),
         make_answer(1000.0, status=StubAnswer.SERVFAIL),
     ]
-    assert failure_fraction(answers) == pytest.approx(2 / 3)
-    assert failure_fraction(answers, (0.0, 600.0)) == pytest.approx(0.5)
-    assert failure_fraction([], None) == 0.0
+    assert failure_fraction(AnswerLog(answers)) == pytest.approx(2 / 3)
+    assert failure_fraction(AnswerLog(answers), (0.0, 600.0)) == pytest.approx(0.5)
+    assert failure_fraction(AnswerLog(), None) == 0.0
 
 
 def test_latency_by_round_quantiles():
     answers = [make_answer(10.0, latency=ms / 1000.0) for ms in (10, 20, 30, 40)]
     answers.append(make_answer(15.0, status=StubAnswer.NO_ANSWER))
-    rounds = latency_by_round(answers, 600.0)
+    rounds = latency_by_round(AnswerLog(answers), 600.0)
     assert len(rounds) == 1
     row = rounds[0]
     assert row.count == 4

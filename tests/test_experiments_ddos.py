@@ -176,3 +176,30 @@ def test_probe_answers_never_parse_ipv6_text(monkeypatch):
     result = run_ddos(DDOS_EXPERIMENTS["H"], probe_count=16, seed=3)
     assert any(answer.serial is not None for answer in result.answers)
     assert constructed == []
+
+
+def test_run_builds_no_answer_rows(monkeypatch):
+    """Stubs write their observations straight into the answer columns:
+    a whole experiment-H run constructs no ``StubAnswer`` (rows exist
+    only when something reads the log as a sequence). Counted, not
+    timed."""
+    from repro.core.testbed import Testbed
+
+    constructed = []
+    init = StubAnswer.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
+
+    run = Testbed.run
+
+    def counted_run(self, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(StubAnswer, "__init__", counting_init)
+            return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Testbed, "run", counted_run)
+    result = run_ddos(DDOS_EXPERIMENTS["H"], probe_count=16, seed=3)
+    assert len(result.answers) > 100
+    assert constructed == []

@@ -8,7 +8,7 @@ from repro.netem.attack import AttackWindow
 from repro.resolvers.cache import CacheConfig
 from repro.resolvers.pool import PoolConfig, PublicResolverPool
 from repro.resolvers.recursive import Outcome, RecursiveResolver, ResolverConfig
-from repro.resolvers.stub import StubAnswer, StubResolver
+from repro.resolvers.stub import AnswerLog, StubAnswer, StubResolver
 
 QNAME = Name.from_text("1414.cachetest.nl.")
 
@@ -97,7 +97,7 @@ def test_pool_with_dead_backend_fails_a_share_of_queries(world):
     # blackhole (a crashed machine still selected by the balancer).
     world.network.unregister(backends[0])
 
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.9", 77, ["198.18.0.5"], results
     )

@@ -8,7 +8,7 @@ from repro.dnscore.rrtypes import RRType
 from repro.dnscore.wire import from_wire, to_wire
 from repro.netem.attack import AttackWindow
 from repro.resolvers.recursive import Outcome, RecursiveResolver, ResolverConfig
-from repro.resolvers.stub import StubAnswer, StubResolver
+from repro.resolvers.stub import AnswerLog, StubAnswer, StubResolver
 from repro.servers.authoritative import AuthoritativeServer
 
 QNAME = Name.from_text("1414.cachetest.nl.")
@@ -84,7 +84,7 @@ def test_wire_format_end_to_end(world, monkeypatch):
         world.sim, world.network, "100.64.0.1", world.root_hints,
         config=ResolverConfig(),
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1414, [resolver.address], results
     )
@@ -100,7 +100,7 @@ def test_zone_rotation_changes_serial_in_answers(world):
         world.sim, world.network, "100.64.0.1", world.root_hints,
         config=ResolverConfig(),
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1414, [resolver.address], results
     )
@@ -121,7 +121,7 @@ def test_partial_loss_some_queries_survive(world):
     resolver = RecursiveResolver(
         world.sim, world.network, "100.64.0.1", world.root_hints
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1414, [resolver.address], results
     )

@@ -88,7 +88,7 @@ def test_dataset_counts_with_no_answers(world):
     testbed = Testbed(
         TestbedConfig(population=PopulationConfig(probe_count=5))
     )
-    counts = dataset_counts(testbed, [])
+    counts = dataset_counts(testbed, testbed.population.results)
     assert counts.queries == 0
     assert counts.probes == 5
     assert counts.probes_discarded == 5
@@ -99,7 +99,7 @@ def test_pool_internal_delay_applies(world):
 
     from repro.dnscore.message import make_query
     from repro.resolvers.pool import PoolConfig, PublicResolverPool
-    from repro.resolvers.stub import StubResolver
+    from repro.resolvers.stub import AnswerLog, StubResolver
 
     pool = PublicResolverPool(
         world.sim,
@@ -110,7 +110,7 @@ def test_pool_internal_delay_applies(world):
         config=PoolConfig(backend_count=1, internal_delay=0.25),
         rng=random.Random(0),
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.9", 3, ["198.18.0.7"], results
     )

@@ -8,7 +8,7 @@ from repro.netem.attack import AttackWindow
 from repro.resolvers.cache import CacheConfig
 from repro.resolvers.forwarder import ForwarderConfig, ForwardingResolver
 from repro.resolvers.recursive import RecursiveResolver
-from repro.resolvers.stub import StubAnswer, StubResolver
+from repro.resolvers.stub import AnswerLog, StubAnswer, StubResolver
 
 QNAME = Name.from_text("1414.cachetest.nl.")
 
@@ -32,7 +32,7 @@ def build_chain(world, upstream_count=2, forwarder_config=None):
         config=forwarder_config,
         name="fwd",
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1414, [forwarder.address], results
     )
@@ -74,7 +74,7 @@ def test_forwarder_rotates_upstreams_on_timeout(world):
     RecursiveResolver(
         world.sim, world.network, "100.64.0.1", world.root_hints, name="rn"
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.2", 7, [forwarder.address], results
     )
@@ -116,7 +116,7 @@ def test_forwarder_servfail_failover(world):
         ["100.64.0.99", "100.64.0.1"],
         name="fwd3",
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.3", 8, [forwarder.address], results
     )
@@ -133,7 +133,7 @@ def test_forwarder_gives_up_with_servfail(world):
         ["100.64.0.250", "100.64.0.251"],  # both blackholes
         name="fwd4",
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim,
         world.network,
@@ -155,7 +155,7 @@ def test_forwarder_does_not_cache_failures(world):
         world.sim, world.network, "100.64.9.5", ["100.64.0.250"],
         config=config, name="fwd5",
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.5", 10, [forwarder.address], results,
         timeout=60.0,

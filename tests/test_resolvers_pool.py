@@ -7,7 +7,7 @@ import pytest
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRType
 from repro.resolvers.pool import PoolConfig, PublicResolverPool
-from repro.resolvers.stub import StubAnswer, StubResolver
+from repro.resolvers.stub import AnswerLog, StubAnswer, StubResolver
 
 QNAME = Name.from_text("1414.cachetest.nl.")
 
@@ -26,7 +26,7 @@ def build_pool(world, backend_count=4, balancing="random", **pool_kwargs):
         name="pool",
         rng=random.Random(99),
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1414, ["198.18.0.1"], results
     )

@@ -254,10 +254,10 @@ def test_expired_ns_triggers_new_referral_walk(short_ttl_world):
 
 
 def test_client_query_via_network(world):
-    from repro.resolvers.stub import StubAnswer, StubResolver
+    from repro.resolvers.stub import AnswerLog, StubAnswer, StubResolver
 
     resolver = make_resolver(world)
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1414, [resolver.address], results
     )

@@ -5,7 +5,7 @@ import pytest
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import Rcode, RRType
 from repro.resolvers.recursive import RecursiveResolver
-from repro.resolvers.stub import ATLAS_TIMEOUT, StubAnswer, StubResolver
+from repro.resolvers.stub import ATLAS_TIMEOUT, AnswerLog, StubAnswer, StubResolver
 
 QNAME = Name.from_text("1414.cachetest.nl.")
 
@@ -19,7 +19,7 @@ def test_successful_answer_parsed(world):
     resolver = RecursiveResolver(
         world.sim, world.network, "100.64.0.1", world.root_hints
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1414, [resolver.address], results
     )
@@ -36,7 +36,7 @@ def test_successful_answer_parsed(world):
 
 
 def test_timeout_yields_no_answer(world):
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1, ["100.64.0.250"], results
     )
@@ -66,7 +66,7 @@ def test_late_response_after_timeout_ignored(world):
             )
 
     SlowHost(world.sim, world.network, "100.64.0.50")
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim,
         world.network,
@@ -88,7 +88,7 @@ def test_query_round_fans_out_to_all_recursives(world):
         )
         for index in (1, 2, 3)
     ]
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim,
         world.network,
@@ -127,7 +127,7 @@ def test_servfail_recorded(world):
             )
 
     ServfailHost(world.sim, world.network, "100.64.0.66")
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1, ["100.64.0.66"], results
     )
@@ -140,7 +140,7 @@ def test_nxdomain_recorded(world):
     resolver = RecursiveResolver(
         world.sim, world.network, "100.64.0.1", world.root_hints
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1, [resolver.address], results
     )
@@ -161,7 +161,7 @@ def test_round_index_tracked(world):
     resolver = RecursiveResolver(
         world.sim, world.network, "100.64.0.1", world.root_hints
     )
-    results = []
+    results = AnswerLog()
     stub = StubResolver(
         world.sim, world.network, "10.0.0.1", 1414, [resolver.address], results
     )

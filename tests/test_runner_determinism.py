@@ -7,6 +7,8 @@ baseline at reduced scale both ways and compare the derived metrics the
 paper's tables and figures are built from.
 """
 
+import hashlib
+
 import pytest
 
 from repro.attackload import AttackLoadSpec
@@ -46,9 +48,28 @@ DEFENSE_DEFENSE = DefenseSpec(
 )
 
 
+def rows_digest(rows):
+    """sha256 over every row of an answer or class store, field by field.
+
+    Resolver addresses come out of the stores' interned tables, so a
+    table that lost or reordered an entry across a boundary shows here
+    even where no derived series reads it.
+    """
+    digest = hashlib.sha256()
+    for row in rows:
+        answer = getattr(row, "answer", row)
+        fields = [getattr(answer, name) for name in answer.__slots__]
+        if answer is not row:
+            fields += [row.answer_class.value, row.ttl_altered, row.serial_decreased]
+        digest.update(repr(fields).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
 def ddos_metrics(result):
     """Every testbed- and client-side series a DDoS figure reads."""
     return {
+        "answers": rows_digest(result.answers),
+        "classified": rows_digest(result.classified),
         "outcomes": result.outcomes_by_round(),
         "classes": result.class_timeseries(),
         "fail_before": result.failure_fraction_before_attack(),
@@ -67,6 +88,8 @@ def ddos_metrics(result):
 
 def baseline_metrics(result):
     return {
+        "answers": rows_digest(result.answers),
+        "classified": rows_digest(result.classified),
         "miss_rate": result.miss_rate,
         "dataset": result.dataset.as_rows(),
         "table2": result.table2.as_rows(),
